@@ -78,10 +78,15 @@ def _write_manifest(
 
 def _parse_t_range(text: str) -> list[int]:
     """'1..5' -> [1,2,3,4,5]; '1,3,5' -> [1,3,5]; '3' -> [3]."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in text.split(",")]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(part) for part in text.split(",")]
+    except ValueError:
+        raise ValidationError(
+            f"--t takes a range like 1..5 or a list like 1,3,5, got {text!r}"
+        ) from None
 
 
 def _ensemble_from_args(args: argparse.Namespace):
@@ -149,8 +154,8 @@ def cmd_frame_potential(args: argparse.Namespace) -> int:
 
 def cmd_decay(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    out = _resolve_out(args.out)
     ts = _parse_t_range(args.t)
+    out = _resolve_out(args.out)
     rng = np.random.default_rng(args.seed)
     report = decay_experiment(
         args.n,
@@ -258,6 +263,8 @@ def cmd_distinguish(args: argparse.Namespace) -> int:
 
 def cmd_twirl_check(args: argparse.Namespace) -> int:
     started = time.monotonic()
+    if args.inputs < 1:
+        raise ValidationError(f"--inputs must be at least 1, got {args.inputs}")
     out = _resolve_out(args.out)
     rng = np.random.default_rng(args.seed)
     d = 2**args.n

@@ -27,9 +27,16 @@ from .commutant import (
 )
 from .dense import MAX_DENSE_DIM, DenseOperator, haar_unitary, query_output_state
 from .errors import InternalConsistencyError, ValidationError
-from .pauli import clifford_to_matrix, enumerate_cliffords, random_clifford
+from .pauli import cliffords_to_matrices, enumerate_cliffords, random_tableau
 
 MAX_ENUMERATED_QUBITS = 2
+# complex entries per batch of Choi vectors
+CHUNK_ENTRIES = 1 << 20
+# Unitary entries sampled and made dense per pass of _samples.  With
+# 2^20-entry passes the short-lived Clifford arrays split the free heap
+# between the 16 MB Choi arrays, and decay runs at n = 5 peaked 16-32 MB
+# higher.
+_PASS_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -118,31 +125,58 @@ EnsembleSpec = Union[Haar, CliffordUniform, CliffordEnumerated, FixedList, Homeo
 
 @lru_cache(maxsize=4)
 def _dense_clifford_group(n: int) -> tuple[DenseOperator, ...]:
-    d = 1 << n
-    return tuple(
-        DenseOperator(d, clifford_to_matrix(c)) for c in enumerate_cliffords(n)
-    )
+    mats = cliffords_to_matrices(n, [c.tableau for c in enumerate_cliffords(n)])
+    return tuple(DenseOperator(1 << n, u) for u in mats)
 
 
 def sample(spec: EnsembleSpec, rng: np.random.Generator) -> DenseOperator:
     """One unitary drawn from the spec's distribution, as a dense operator."""
     if isinstance(spec, Haar):
         return haar_unitary(1 << spec.n, rng)
+    if isinstance(spec, (CliffordEnumerated, FixedList)):
+        els = enumerate_unitaries(spec)
+        return els[int(rng.integers(len(els)))]
+    u = next(_samples(spec, 1, rng))
+    return DenseOperator(len(u), u)
+
+
+def _samples(spec: EnsembleSpec, size: int, rng: np.random.Generator):
+    """Yield `size` unitaries from the spec, as (d, d) arrays.
+
+    Samples are drawn one after another, each consuming the stream exactly
+    as one call of `sample` does (for Homeopathy: the inner unitary, then
+    C2, then C1), so a seeded stream gives the same unitaries batched or
+    not.  The Clifford tableaus of each pass of samples are made dense in
+    one call per register size.
+    """
+    if not isinstance(spec, EnsembleSpec):
+        raise ValidationError(f"unknown ensemble spec {spec!r}")
+    d = 1 << spec.n_qubits
+    per = max(1, _PASS_ENTRIES // (d * d))
+    for lo in range(0, size, per):
+        tableaus: dict[int, list] = {}
+        draws = [_draw(spec, rng, tableaus) for _ in range(min(per, size - lo))]
+        dense = {n: cliffords_to_matrices(n, tabs) for n, tabs in tableaus.items()}
+        for realize in draws:
+            yield realize(dense)
+
+
+def _draw(spec: EnsembleSpec, rng: np.random.Generator, tableaus: dict[int, list]):
+    """Consume one sample's randomness; return a function of the dense
+    Clifford batches that builds it.  Tableaus queue per register size."""
     if isinstance(spec, CliffordUniform):
-        d = 1 << spec.n
-        return DenseOperator(d, clifford_to_matrix(random_clifford(spec.n, rng)))
-    if isinstance(spec, CliffordEnumerated):
-        group = _dense_clifford_group(spec.n)
-        return group[int(rng.integers(len(group)))]
-    if isinstance(spec, FixedList):
-        return spec.unitaries[int(rng.integers(len(spec.unitaries)))]
+        queue = tableaus.setdefault(spec.n, [])
+        queue.append(random_tableau(spec.n, rng))
+        i = len(queue) - 1
+        return lambda dense: dense[spec.n][i]
     if isinstance(spec, Homeopathy):
-        inner = sample(spec.inner, rng).matrix
-        mid = np.kron(np.eye(1 << (spec.n - spec.t)), inner)
-        c2 = clifford_to_matrix(random_clifford(spec.n, rng))
-        c1 = clifford_to_matrix(random_clifford(spec.n, rng))
-        return DenseOperator(1 << spec.n, c1 @ mid @ c2)
-    raise ValidationError(f"unknown ensemble spec {spec!r}")
+        inner = _draw(spec.inner, rng, tableaus)
+        c2 = _draw(CliffordUniform(spec.n), rng, tableaus)
+        c1 = _draw(CliffordUniform(spec.n), rng, tableaus)
+        eye = np.eye(1 << (spec.n - spec.t))
+        return lambda dense: c1(dense) @ np.kron(eye, inner(dense)) @ c2(dense)
+    u = sample(spec, rng).matrix
+    return lambda dense: u
 
 
 def enumerate_unitaries(spec: EnsembleSpec) -> tuple[DenseOperator, ...]:
@@ -186,21 +220,38 @@ def from_config(cfg: dict) -> EnsembleSpec:
         variant = cfg["variant"]
     except (TypeError, KeyError):
         raise ValidationError("ensemble config needs a 'variant' key") from None
+
+    def field(key: str, convert=int):
+        try:
+            return convert(cfg[key])
+        except KeyError:
+            raise ValidationError(f"{variant!r} ensemble config is missing key {key!r}") from None
+        except ValidationError:
+            raise
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"{variant!r} ensemble config has a bad {key!r}: {cfg[key]!r}"
+            ) from None
+
     if variant == "haar":
-        return Haar(int(cfg["n"]))
+        return Haar(field("n"))
     if variant == "clifford_uniform":
-        return CliffordUniform(int(cfg["n"]))
+        return CliffordUniform(field("n"))
     if variant == "clifford_enumerated":
-        return CliffordEnumerated(int(cfg["n"]))
+        return CliffordEnumerated(field("n"))
     if variant == "homeopathy":
-        return Homeopathy(int(cfg["n"]), int(cfg["t"]), from_config(cfg["inner"]))
+        return Homeopathy(field("n"), field("t"), field("inner", from_config))
     if variant == "fixed_list":
-        us = []
-        for rows in cfg["unitaries"]:
-            m = np.array([[complex(re, im) for re, im in row] for row in rows])
-            us.append(DenseOperator(m.shape[0], m))
-        return FixedList(tuple(us))
+        return FixedList(field("unitaries", _unitaries_from_config))
     raise ValidationError(f"unknown ensemble variant {variant!r}")
+
+
+def _unitaries_from_config(mats) -> tuple[DenseOperator, ...]:
+    us = []
+    for rows in mats:
+        m = np.array([[complex(re, im) for re, im in row] for row in rows])
+        us.append(DenseOperator(m.shape[0], m))
+    return tuple(us)
 
 
 # ---------------------------------------------------------------------------
@@ -218,11 +269,8 @@ def frame_potential(
         raise ValidationError("need k >= 1")
     if samples < 2:
         raise ValidationError("need at least two samples for a standard error")
-    vals = np.empty(samples)
-    for i in range(samples):
-        u = sample(spec, rng).matrix
-        v = sample(spec, rng).matrix
-        vals[i] = abs(np.vdot(u, v)) ** (2 * k)
+    us = _samples(spec, 2 * samples, rng)
+    vals = np.array([abs(np.vdot(u, v)) ** (2 * k) for u, v in zip(us, us)])
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
 
 
@@ -251,16 +299,13 @@ def moment_choi(
         raise ValidationError("need samples >= 1")
     scale = 1.0 / math.sqrt(big)
     acc = np.zeros((big * big, big * big), dtype=complex)
-    batch = max(1, (1 << 20) // (big * big))
-    done = 0
-    while done < samples:
-        take = min(batch, samples - done)
-        vs = np.empty((take, big * big), dtype=complex)
-        for s in range(take):
-            u = sample(spec, rng).matrix
-            vs[s] = _kth_power(u, k).reshape(-1) * scale
+    us = _samples(spec, samples, rng)
+    batch = max(1, CHUNK_ENTRIES // (big * big))
+    for done in range(0, samples, batch):
+        vs = np.empty((min(batch, samples - done), big * big), dtype=complex)
+        for s in range(len(vs)):
+            vs[s] = _kth_power(next(us), k).reshape(-1) * scale
         acc += vs.T @ vs.conj()
-        done += take
     j = acc / samples
     return _checked_choi(j)
 
@@ -285,7 +330,7 @@ def exact_moment_choi(spec: EnsembleSpec, k: int) -> np.ndarray:
         els = enumerate_unitaries(spec)
         scale = 1.0 / math.sqrt(big)
         acc = np.zeros((big * big, big * big), dtype=complex)
-        chunk = max(1, (1 << 20) // (big * big))
+        chunk = max(1, CHUNK_ENTRIES // (big * big))
         for start in range(0, len(els), chunk):
             part = els[start : start + chunk]
             vs = np.empty((len(part), big * big), dtype=complex)
@@ -344,22 +389,14 @@ def adaptive_output_state(
         raise ValidationError("need at least one query operator")
     mats = [q.matrix if isinstance(q, DenseOperator) else np.asarray(q) for q in queries]
     if samples is None:
-        els = [u.matrix for u in enumerate_unitaries(spec)]
+        us = [u.matrix for u in enumerate_unitaries(spec)]
     else:
         if samples < 1:
             raise ValidationError("need samples >= 1")
         if rng is None:
             raise ValidationError("Monte Carlo averaging needs an rng")
-        els = None
-    dim = mats[0].shape[0] if mats else 0
-    if els is not None:
-        states = np.empty((len(els), dim), dtype=complex)
-        for i, u in enumerate(els):
-            states[i] = query_output_state(u, mats)
-    else:
-        states = np.empty((samples, dim), dtype=complex)
-        for i in range(samples):
-            states[i] = query_output_state(sample(spec, rng).matrix, mats)
+        us = _samples(spec, samples, rng)
+    states = np.array([query_output_state(u, mats) for u in us])
     rho = states.T @ states.conj() / states.shape[0]
     rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho).real

@@ -117,12 +117,19 @@ def chi(p: PauliString, q: PauliString) -> int:
 # dense action (used by to_matrix, expectations, stabilizer scans)
 
 
-def _parity(a: np.ndarray) -> np.ndarray:
-    """Elementwise popcount parity for nonnegative integer arrays."""
-    a = a.copy()
-    for s in (32, 16, 8, 4, 2, 1):
-        a ^= a >> s
-    return a & 1
+# i^k * (+1, -1) for k = 0..3: the factor sigma(x, z) with phase i^k puts on
+# an amplitude.  Built as `1j**k * signs`, so dense results are bit-stable.
+_FACTORS = np.array([1j**k * np.array([1.0, -1.0]) for k in range(4)])
+
+
+def _pauli_action(x, z, phase, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(src, fac) with (P v)[r] = fac[r] * v[src[r]] for P = i^phase sigma(x, z).
+
+    x, z and phase may be integer arrays; they broadcast against rows.
+    """
+    src = rows ^ x
+    k = (phase + np.bitwise_count(x & z)) % 4
+    return src, _FACTORS[k, np.bitwise_count(src & z) & 1]
 
 
 def apply_pauli(p: PauliString, vec: np.ndarray) -> np.ndarray:
@@ -130,19 +137,16 @@ def apply_pauli(p: PauliString, vec: np.ndarray) -> np.ndarray:
     d = 1 << p.n
     if vec.shape != (d,):
         raise ValidationError(f"state length {vec.shape} does not match n={p.n}")
-    coeff = 1j ** ((p.phase + (p.x & p.z).bit_count()) % 4)
-    src = np.arange(d) ^ p.x
-    signs = 1.0 - 2.0 * _parity(src & p.z)
-    return coeff * signs * vec[src]
+    src, fac = _pauli_action(p.x, p.z, p.phase, np.arange(d))
+    return fac * vec[src]
 
 
 def pauli_matrix(p: PauliString) -> np.ndarray:
     d = 1 << p.n
     m = np.zeros((d, d), dtype=complex)
-    coeff = 1j ** ((p.phase + (p.x & p.z).bit_count()) % 4)
-    cols = np.arange(d)
-    signs = 1.0 - 2.0 * _parity(cols & p.z)
-    m[cols ^ p.x, cols] = coeff * signs
+    rows = np.arange(d)
+    src, fac = _pauli_action(p.x, p.z, p.phase, rows)
+    m[rows, src] = fac
     return m
 
 
@@ -187,39 +191,38 @@ class CliffordOp:
         return cls(n, xs, zs)
 
     @classmethod
+    def from_tableau(cls, n: int, tableau) -> "CliffordOp":
+        """Inverse of `tableau`: 2n image bit vectors, then the sign bits."""
+        if len(tableau) != 2 * n + 1:
+            raise ValidationError(f"a tableau on n={n} qubits has {2 * n + 1} entries")
+        mask = (1 << n) - 1
+        signs = tableau[-1]
+        imgs = [
+            PauliString(n, v & mask, v >> n, 2 * ((signs >> j) & 1))
+            for j, v in enumerate(tableau[:-1])
+        ]
+        return cls(n, tuple(imgs[:n]), tuple(imgs[n:]))
+
+    @classmethod
     def from_symplectic(cls, s: BinMat, signs: BinVec) -> "CliffordOp":
         """Column j of s is the image bit vector of generator j (X_1..X_n, Z_1..Z_n)."""
         nn = s.ncols
         if nn % 2 or s.nrows != nn or signs.n != nn:
             raise ValidationError("symplectic matrix must be 2n x 2n with a 2n sign vector")
-        n = nn // 2
-        cols = s.transpose().rows
-        imgs = [
-            PauliString.from_symplectic_vec(BinVec(nn, cols[j]), 2 * signs.bit(j))
-            for j in range(nn)
-        ]
-        return cls(n, tuple(imgs[:n]), tuple(imgs[n:]))
+        return cls.from_tableau(nn // 2, (*s.transpose().rows, signs.bits))
+
+    @property
+    def tableau(self) -> tuple[int, ...]:
+        """The array form: images of X_1..X_n, Z_1..Z_n as x | z << n bit
+        vectors, then the sign bits (bit j set when image j carries -1)."""
+        gens = self.x_images + self.z_images
+        signs = sum((g.phase >> 1) << j for j, g in enumerate(gens))
+        return (*(g.x | (g.z << self.n) for g in gens), signs)
 
     @property
     def symplectic(self) -> BinMat:
         """2n x 2n matrix whose column j is the image of generator j."""
-        nn = 2 * self.n
-        cols = [g.symplectic_vec.bits for g in self.x_images + self.z_images]
-        rows = []
-        for i in range(nn):
-            r = 0
-            for j in range(nn):
-                r |= ((cols[j] >> i) & 1) << j
-            rows.append(r)
-        return BinMat(nn, tuple(rows))
-
-    @property
-    def sign_vector(self) -> BinVec:
-        bits = 0
-        for j, g in enumerate(self.x_images + self.z_images):
-            if g.phase == 2:
-                bits |= 1 << j
-        return BinVec(2 * self.n, bits)
+        return BinMat(2 * self.n, self.tableau[:-1]).transpose()
 
     def key(self) -> tuple:
         """Hashable identity of the phase-quotiented operator."""
@@ -295,16 +298,23 @@ def clifford_inverse(c: CliffordOp) -> CliffordOp:
 # uniform sampling (transvection construction, directsum layout internally)
 
 
+def _ds_partner(h: int, nn: int) -> int:
+    """h with each (2i, 2i+1) pair swapped: v . partner(h) = <v, h> (mod 2)."""
+    even = ((1 << nn) - 1) // 3
+    return ((h & even) << 1) | ((h >> 1) & even)
+
+
 def _sp_ds(u: int, v: int, nn: int) -> int:
     """Symplectic product in the (2i, 2i+1)-paired layout."""
-    even = sum(1 << i for i in range(0, nn, 2))
-    t = (u & (v >> 1) & even) ^ ((u >> 1) & v & even)
-    return t.bit_count() & 1
+    return (u & _ds_partner(v, nn)).bit_count() & 1
 
 
-def _transvect(h: int, v: int, nn: int) -> int:
-    """Z_h(v) = v + <v,h> h."""
-    return v ^ h if _sp_ds(v, h, nn) else v
+def _transvect(h: int, vs: list[int], nn: int) -> list[int]:
+    """Z_h(v) = v + <v,h> h for each v in vs."""
+    if not h:
+        return vs
+    hp = _ds_partner(h, nn)
+    return [v ^ h if (v & hp).bit_count() & 1 else v for v in vs]
 
 
 def _anticommuting_pair_value(a: int) -> int:
@@ -355,56 +365,52 @@ def _random_symplectic_ds(n: int, rng: np.random.Generator) -> list[int]:
     Row-by-row: pick the image of the first basis vector uniformly among
     nonzero vectors, complete it to a symplectic pair uniformly among the
     2^(2n-1) partners, then recurse on the complement via transvections.
+    All levels draw first, outermost first; the rows are then built from
+    the innermost level out.
     """
+    draws = []
+    for m in range(n, 0, -1):
+        nn = 2 * m
+        f1 = int(rng.integers(1, 1 << nn))
+        draws.append((nn, f1, rng.integers(0, 2, size=nn - 1).tolist()))
+    rows: list[int] = []
+    for nn, f1, bits in reversed(draws):
+        t0, t1 = _find_transvections(1, f1, nn)
+        eprime = 1
+        for j in range(2, nn):
+            eprime |= bits[j - 1] << j
+        (h0,) = _transvect(t1, _transvect(t0, [eprime], nn), nn)
+        if bits[0]:
+            f1 = 0
+        rows = [1, 2] + [r << 2 for r in rows]
+        for h in (t0, t1, h0, f1):
+            rows = _transvect(h, rows, nn)
+    return rows
+
+
+def random_tableau(n: int, rng: np.random.Generator) -> tuple[int, ...]:
+    """Exactly uniform Clifford in the array form of `CliffordOp.tableau`.
+
+    Uniform symplectic part, then uniform signs.  The transvection
+    construction is symplectic by construction, so nothing is validated.
+    """
+    if n < 1:
+        raise ValidationError(f"need n >= 1, got {n}")
     nn = 2 * n
-    f1 = int(rng.integers(1, 1 << nn))
-    t0, t1 = _find_transvections(1, f1, nn)
-    bits = [int(b) for b in rng.integers(0, 2, size=nn - 1)]
-    eprime = 1
-    for j in range(2, nn):
-        eprime |= bits[j - 1] << j
-    h0 = _transvect(t1, _transvect(t0, eprime, nn), nn)
-    if bits[0]:
-        f1 = 0
-    if n == 1:
-        g = [1, 2]
-    else:
-        sub = _random_symplectic_ds(n - 1, rng)
-        g = [1, 2] + [r << 2 for r in sub]
-    out = []
-    for r in g:
-        r = _transvect(t0, r, nn)
-        r = _transvect(t1, r, nn)
-        r = _transvect(h0, r, nn)
-        r = _transvect(f1, r, nn)
-        out.append(r)
-    return out
-
-
-def _ds_rows_to_standard(rows: list[int]) -> BinMat:
-    """Reindex a directsum-layout matrix into the x-block-then-z-block layout."""
-    nn = len(rows)
-    n = nn // 2
-
-    def std(i: int) -> int:
-        # directsum position 2q -> x_q (= q), 2q+1 -> z_q (= n+q)
-        return (i // 2) if i % 2 == 0 else n + i // 2
-
-    out = [0] * nn
-    for i, r in enumerate(rows):
+    # directsum position 2q -> x_q (= q), 2q+1 -> z_q (= n+q)
+    std = [i // 2 + (i & 1) * n for i in range(nn)]
+    images = [0] * nn
+    # image j is column j of the row matrix, both indices in the x|z layout
+    for i, r in enumerate(_random_symplectic_ds(n, rng)):
         for j in range(nn):
             if (r >> j) & 1:
-                out[std(i)] |= 1 << std(j)
-    return BinMat(nn, tuple(out))
+                images[std[j]] |= 1 << std[i]
+    return (*images, int(rng.integers(0, 1 << nn)))
 
 
 def random_clifford(n: int, rng: np.random.Generator) -> CliffordOp:
-    """Exactly uniform Clifford: uniform symplectic part, uniform signs."""
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got {n}")
-    s = _ds_rows_to_standard(_random_symplectic_ds(n, rng))
-    signs = BinVec(2 * n, int(rng.integers(0, 1 << (2 * n))))
-    return CliffordOp.from_symplectic(s, signs)
+    """Exactly uniform Clifford, as a validated CliffordOp."""
+    return CliffordOp.from_tableau(n, random_tableau(n, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -457,38 +463,74 @@ def enumerate_cliffords(n: int) -> list[CliffordOp]:
 MAX_DENSE_QUBITS = 12
 
 
-def clifford_to_matrix(c: CliffordOp) -> np.ndarray:
-    """Dense 2^n x 2^n unitary realizing the tableau, deterministic global phase."""
-    if c.n > MAX_DENSE_QUBITS:
+def cliffords_to_matrices(n: int, tableaus) -> np.ndarray:
+    """Dense unitaries realizing a batch of tableaus, as an (m, 2^n, 2^n) array.
+
+    tableaus is a sequence of `CliffordOp.tableau` forms, or an (m, 2n + 1)
+    integer array.  Column 0 of each unitary is the stabilizer state of the
+    Z images, the projection of the first basis state it overlaps, with its
+    largest amplitude made real positive (the global phase).  Column x is
+    P_x column 0, where P_x is the product of the X images of x's bits,
+    built for all x by doubling over the bits.
+    """
+    if n > MAX_DENSE_QUBITS:
         raise ValidationError(
-            f"dense conversion limited to n <= {MAX_DENSE_QUBITS}, got n={c.n}"
+            f"dense conversion limited to n <= {MAX_DENSE_QUBITS}, got n={n}"
         )
-    d = 1 << c.n
-    psi = None
+    tab = np.asarray(tableaus, dtype=np.int64).reshape(-1, 2 * n + 1)
+    m, d = len(tab), 1 << n
+    xs, zs = tab[:, : 2 * n] & (d - 1), tab[:, : 2 * n] >> n
+    phases = 2 * ((tab[:, 2 * n :] >> np.arange(2 * n)) & 1)
+    rows = np.arange(d)
+
+    zsrc, zfac = _pauli_action(
+        xs[:, n:, None], zs[:, n:, None], phases[:, n:, None], rows
+    )
+    psi = np.empty((m, d), dtype=complex)
+    todo = np.arange(m)
     for start in range(d):
-        cand = np.zeros(d, dtype=complex)
-        cand[start] = 1.0
-        for q in c.z_images:
-            cand = 0.5 * (cand + apply_pauli(q, cand))
-        nrm = np.linalg.norm(cand)
-        if nrm > 1e-9:
-            psi = cand / nrm
+        cand = np.zeros((len(todo), d), dtype=complex)
+        cand[:, start] = 1.0
+        for j in range(n):
+            gathered = np.take_along_axis(cand, zsrc[todo, j], axis=1)
+            cand = 0.5 * (cand + zfac[todo, j] * gathered)
+        nrm = np.linalg.norm(cand, axis=1)
+        hit = nrm > 1e-9
+        psi[todo[hit]] = cand[hit] / nrm[hit, None]
+        todo = todo[~hit]
+        if not len(todo):
             break
-    if psi is None:
+    else:
         raise InternalConsistencyError("stabilizer projector annihilated every basis state")
     # pin the global phase: largest amplitude made real positive
-    k = int(np.argmax(np.abs(psi)))
-    psi = psi * (abs(psi[k]) / psi[k])
+    top = np.take_along_axis(psi, np.argmax(np.abs(psi), axis=1)[:, None], axis=1)
+    psi = psi * (np.abs(top) / top)
 
-    u = np.zeros((d, d), dtype=complex)
-    u[:, 0] = psi
-    for x in range(1, d):
-        p = PauliString.identity(c.n)
-        for j in range(c.n):
-            if (x >> j) & 1:
-                p = pauli_mul(p, c.x_images[j])
-        u[:, x] = apply_pauli(p, psi)
+    # X-image products P_x: P_{x + 2^j} = P_x X_j for x < 2^j
+    # with the phase rule of pauli_mul
+    cnt = np.bitwise_count
+    px, pz, pph = (np.zeros((m, d), dtype=np.int64) for _ in range(3))
+    for j in range(n):
+        h = 1 << j
+        ax, az, aph = px[:, :h], pz[:, :h], pph[:, :h]
+        bx, bz, bph = xs[:, j, None], zs[:, j, None], phases[:, j, None]
+        px[:, h : 2 * h] = ax ^ bx
+        pz[:, h : 2 * h] = az ^ bz
+        pph[:, h : 2 * h] = (
+            aph + bph + cnt(ax & az) + cnt(bx & bz) + 2 * cnt(az & bx)
+            - cnt((ax ^ bx) & (az ^ bz))
+        ) % 4
+    src, fac = _pauli_action(
+        px[:, None, :], pz[:, None, :], pph[:, None, :], rows[:, None]
+    )
+    u = fac * np.take_along_axis(psi[:, None, :], src, axis=2)
+    u[:, :, 0] = psi
     return u
+
+
+def clifford_to_matrix(c: CliffordOp) -> np.ndarray:
+    """Dense 2^n x 2^n unitary realizing the tableau, deterministic global phase."""
+    return cliffords_to_matrices(c.n, [c.tableau])[0]
 
 
 # ---------------------------------------------------------------------------

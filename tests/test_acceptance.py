@@ -2,7 +2,8 @@
 
 Each test owns its tolerance and its frozen seed; `pytest -v` gives one
 pass/fail line per guarantee. The slow entries are the moment-decay
-experiment (~4 min) and the k=4 frame-potential separation (~2.5 min).
+experiment (~2 min), the k=4 frame-potential separation and the
+enumerated group average (~1 min each).
 """
 
 from __future__ import annotations

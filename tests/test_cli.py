@@ -159,6 +159,23 @@ def test_t_range_parsing():
     assert cli._parse_t_range("3") == [3]
 
 
+@pytest.mark.parametrize("t", ["1..", "abc", "1,x"])
+def test_bad_t_range_exits_2(tmp_path, capsys, t):
+    argv = ["decay", "--n", "2", "--k", "1", "--t", t, "--samples", "20", "--seed", "1"]
+    assert run(argv + ["--out", str(tmp_path)]) == 2
+    assert "--t takes a range" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("inputs", ["0", "-3"])
+def test_twirl_check_needs_an_input(tmp_path, capsys, inputs):
+    out = tmp_path / "out"
+    argv = ["twirl-check", "--n", "1", "--k", "2", "--inputs", inputs, "--seed", "1"]
+    assert run(argv + ["--out", str(out)]) == 2
+    assert "--inputs must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_homeopathy_frame_potential_needs_t(tmp_path, capsys):
     rc = run(
         [

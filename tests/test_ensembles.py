@@ -21,6 +21,7 @@ from kdesign.ensembles import (
     sample,
     to_config,
 )
+from kdesign.ensembles import _samples
 from kdesign.errors import ValidationError
 
 
@@ -84,6 +85,78 @@ def test_config_round_trip():
         from_config({"variant": "nope"})
     with pytest.raises(ValidationError):
         from_config({})
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"variant": "haar"},
+        {"variant": "haar", "n": "x"},
+        {"variant": "clifford_uniform", "n": None},
+        {"variant": "homeopathy", "n": 2, "t": "one", "inner": {"variant": "haar", "n": 1}},
+        {"variant": "homeopathy", "n": 2, "t": 1},
+        {"variant": "homeopathy", "n": 2, "t": 1, "inner": {"variant": "haar"}},
+        {"variant": "fixed_list"},
+        {"variant": "fixed_list", "unitaries": [[[1.0]]]},
+    ],
+)
+def test_malformed_config_is_validation_error(cfg):
+    with pytest.raises(ValidationError):
+        from_config(cfg)
+
+
+# ---------------------------------------------------------------------------
+# batching keeps the per-sample stream
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        CliffordUniform(1),
+        CliffordUniform(3),
+        Haar(2),
+        Homeopathy(3, 1, Haar(1)),
+        Homeopathy(2, 2, CliffordUniform(2)),
+        Homeopathy(3, 2, Homeopathy(2, 1, CliffordEnumerated(1))),
+        Homeopathy(5, 1, Haar(1)),  # 20 samples span two conversion passes
+    ],
+)
+def test_batch_is_bit_identical_to_sequential_samples(spec):
+    batched, sequential = np.random.default_rng(61), np.random.default_rng(61)
+    us = np.stack(list(_samples(spec, 20, batched)))
+    one_by_one = np.stack([sample(spec, sequential).matrix for _ in range(20)])
+    assert us.tobytes() == one_by_one.tobytes()
+    assert batched.bit_generator.state == sequential.bit_generator.state
+
+
+def test_frame_potential_passes_keep_the_stream():
+    # 1200 draws at d = 32 span 75 conversion passes of 16
+    spec = CliffordUniform(5)
+    rng = np.random.default_rng(67)
+    est, err = frame_potential(spec, 1, 600, rng)
+    ref = np.random.default_rng(67)
+    vals = []
+    for _ in range(600):
+        u = sample(spec, ref).matrix
+        v = sample(spec, ref).matrix
+        vals.append(abs(np.vdot(u, v)) ** 2)
+    assert est == np.mean(vals)
+    assert err == np.std(vals, ddof=1) / np.sqrt(600)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+PINNED_CLIFFORD_FP, PINNED_CLIFFORD_FP_ERR = 1.515, 0.19178839627235944
+PINNED_HOMEOPATHY_FP = 1.5645183908406606
+
+
+def test_seeded_frame_potential_is_pinned():
+    # recorded from the one-object-per-sample sampler; any change in how
+    # sampling consumes the stream moves these values
+    est, err = frame_potential(CliffordUniform(2), 2, 200, np.random.default_rng(0))
+    assert est == pytest.approx(PINNED_CLIFFORD_FP, rel=1e-12)
+    assert err == pytest.approx(PINNED_CLIFFORD_FP_ERR, rel=1e-12)
+    est, _ = frame_potential(Homeopathy(3, 1, Haar(1)), 2, 50, np.random.default_rng(0))
+    assert est == pytest.approx(PINNED_HOMEOPATHY_FP, rel=1e-12)
 
 
 def test_frame_potential_haar_k2():

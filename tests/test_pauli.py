@@ -25,12 +25,14 @@ from kdesign.pauli import (
     clifford_conjugate,
     clifford_inverse,
     clifford_to_matrix,
+    cliffords_to_matrices,
     enumerate_cliffords,
     enumerate_symplectics,
     pauli_expectations_all,
     pauli_matrix,
     pauli_mul,
     random_clifford,
+    random_tableau,
     stabilizer_group_of,
 )
 
@@ -304,6 +306,94 @@ def test_random_clifford_image_marginal_n2():
         counts[k] = counts.get(k, 0) + 1
     assert len(counts) == 30
     assert stats.chisquare(list(counts.values())).pvalue > 1e-3
+
+
+# Two seed-0 draws per n as (images, signs), and the stream's next
+# integers(2**30) draw, recorded from the one-object-per-draw sampler.  Every
+# seeded experiment depends on the sampler consuming the stream this way.
+SEED0_TABLEAUS = {
+    1: ([((3, 1), 2), ((1, 2), 0)], 80788487),
+    2: ([((13, 5, 2, 3), 1), ((9, 6, 4, 14), 9)], 1042327185),
+    3: ([((30, 15, 21, 61, 34, 33), 32), ((25, 7, 42, 49, 10, 55), 54)], 595191111),
+    4: (
+        [((89, 84, 37, 227, 70, 71, 10, 235), 71), ((249, 200, 3, 181, 112, 70, 94, 139), 7)],
+        5747354,
+    ),
+}
+
+
+@pytest.mark.parametrize("n", sorted(SEED0_TABLEAUS))
+def test_seed0_tableaus_are_pinned(n):
+    draws, following = SEED0_TABLEAUS[n]
+    rng = np.random.default_rng(0)
+    for images, signs in draws:
+        c = random_clifford(n, rng)
+        assert c.tableau == (*images, signs)
+        gens = c.x_images + c.z_images
+        assert tuple(g.x | (g.z << n) for g in gens) == images
+        assert sum((g.phase // 2) << j for j, g in enumerate(gens)) == signs
+    assert int(rng.integers(2**30)) == following
+    rng = np.random.default_rng(0)
+    assert [random_tableau(n, rng) for _ in draws] == [(*i, s) for i, s in draws]
+
+
+def test_tableau_round_trip():
+    rng = np.random.default_rng(71)
+    for n in (1, 2, 3, 5):
+        t = random_tableau(n, rng)
+        assert CliffordOp.from_tableau(n, t).tableau == t
+    with pytest.raises(ValidationError):
+        CliffordOp.from_tableau(2, (1, 2, 4))
+    for c in enumerate_cliffords(1):
+        assert CliffordOp.from_tableau(1, c.tableau) == c
+
+
+def loop_clifford_to_matrix(c: CliffordOp) -> np.ndarray:
+    """Reference conversion, one basis state and one column at a time."""
+    d = 1 << c.n
+    for start in range(d):
+        cand = np.zeros(d, dtype=complex)
+        cand[start] = 1.0
+        for q in c.z_images:
+            cand = 0.5 * (cand + apply_pauli(q, cand))
+        nrm = np.linalg.norm(cand)
+        if nrm > 1e-9:
+            psi = cand / nrm
+            break
+    k = int(np.argmax(np.abs(psi)))
+    psi = psi * (abs(psi[k]) / psi[k])
+    u = np.zeros((d, d), dtype=complex)
+    u[:, 0] = psi
+    for x in range(1, d):
+        p = PauliString.identity(c.n)
+        for j in range(c.n):
+            if (x >> j) & 1:
+                p = pauli_mul(p, c.x_images[j])
+        u[:, x] = apply_pauli(p, psi)
+    return u
+
+
+def test_conversion_matches_the_loop_reference_bit_for_bit():
+    rng = np.random.default_rng(79)
+    for n in (1, 2, 3, 4, 5):
+        cs = [random_clifford(n, rng) for _ in range(30)]
+        batch = cliffords_to_matrices(n, [c.tableau for c in cs])
+        for c, u in zip(cs, batch):
+            assert u.tobytes() == loop_clifford_to_matrix(c).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_batched_conversion_is_bit_identical_per_element(n):
+    rng = np.random.default_rng(73 + n)
+    tabs = [random_tableau(n, rng) for _ in range(40)]
+    batch = cliffords_to_matrices(n, tabs)
+    assert batch.shape == (40, 1 << n, 1 << n)
+    for t, u in zip(tabs, batch):
+        assert u.tobytes() == clifford_to_matrix(CliffordOp.from_tableau(n, t)).tobytes()
+        assert cliffords_to_matrices(n, np.array([t]))[0].tobytes() == u.tobytes()
+        # global phase: the largest amplitude of column 0 is real positive
+        top = u[np.argmax(np.abs(u[:, 0])), 0]
+        assert top.imag == 0 and top.real > 0
 
 
 def test_enumerate_small_groups():
