@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -27,7 +26,7 @@ import numpy as np
 from .dense import DenseOperator
 from .errors import InternalConsistencyError, ValidationError
 from .f2 import BinMat, BinVec, rank
-from .pauli import PauliString, pauli_matrix, pauli_mul
+from .pauli import _pauli_action
 
 MAX_MONOMIAL_COPIES = 6
 MAX_TABLE_COPIES = 5  # Gram/Weingarten dense inversion
@@ -131,61 +130,95 @@ def enumerate_monomials(k: int) -> list[PauliMonomial]:
     return out
 
 
-def _label_chi(a: int, b: int) -> int:
-    """Commutation sign of two single-qubit Pauli labels (bit0 = X, bit1 = Z)."""
-    s = ((a & (b >> 1)) ^ ((a >> 1) & b)) & 1
-    return -1 if s else 1
+# Label tuples times matrix rows per pass of _site_matrices, which bounds
+# its transient arrays to a few MB.  Passes of 2^14..2^16 entries built the
+# k = 5 stack fastest; 2^20 took a third longer.
+_SITE_PASS_ENTRIES = 1 << 15
+
+
+def _site_matrices(monos) -> np.ndarray:
+    """Single-site factors of monomials sharing one k, as (len(monos), 2^k, 2^k).
+
+    The factor of a monomial with columns v_1..v_m and phase matrix M is
+    2^-m sum_l sign_M(l) P_{l_1}(v_1) ... P_{l_m}(v_m) over label tuples l in
+    {I, X, Z, Y}^m (bit 0 = X part, bit 1 = Z part), where P_l(v) has x = v
+    for an X part and z = v for a Z part, products follow pauli_mul's phase
+    rule, and sign_M(l) is the product of the commutation signs chi(l_i, l_j)
+    over the pairs i < j with M_ij = 1.  Monomials of equal m are done
+    together, label tuples in itertools.product order, and every Pauli's
+    entries are scattered into the matrices with np.bincount.
+    """
+    d = 1 << monos[0].k
+    rows = np.arange(d)
+    cnt = np.bitwise_count
+    out = np.empty((len(monos), d, d), dtype=complex)
+    by_m: dict[int, list[int]] = {}
+    for i, mono in enumerate(monos):
+        by_m.setdefault(mono.m, []).append(i)
+    for m, idx in by_m.items():
+        ntup = 4**m
+        labels = (np.arange(ntup)[:, None] >> (2 * np.arange(m - 1, -1, -1))) & 3
+        lx, lz = labels & 1, labels >> 1
+        # chi(l_i, l_j) = -1 iff (x_i & z_j) ^ (z_i & x_j)
+        anti = (lx[:, :, None] & lz[:, None, :]) ^ (lz[:, :, None] & lx[:, None, :])
+        per = max(1, _SITE_PASS_ENTRIES // (ntup * d))
+        for lo in range(0, len(idx), per):
+            block = idx[lo : lo + per]
+            g = len(block)
+            cols = np.array([monos[i].v_cols for i in block], dtype=np.int64).reshape(g, m)
+            upper = np.array([monos[i].m_upper for i in block], dtype=np.int64).reshape(g, m)
+            phase_bits = (upper[:, :, None] >> np.arange(m)) & 1
+            sign = (phase_bits.reshape(g, m * m) @ anti.reshape(ntup, m * m).T) & 1
+            x = np.zeros((g, ntup), dtype=np.int64)
+            z = np.zeros_like(x)
+            ph = np.zeros_like(x)
+            for j in range(m):
+                fx = lx[:, j] * cols[:, j, None]
+                fz = lz[:, j] * cols[:, j, None]
+                nx, nz = x ^ fx, z ^ fz
+                ph = (ph + cnt(x & z) + cnt(fx & fz) + 2 * cnt(z & fx) - cnt(nx & nz)) % 4
+                x, z = nx, nz
+            src, fac = _pauli_action(x[..., None], z[..., None], (ph + 2 * sign)[..., None], rows)
+            flat = ((np.arange(g)[:, None, None] * d + rows) * d + src).ravel()
+            for part, vals in ((out.real, fac.real), (out.imag, fac.imag)):
+                summed = np.bincount(flat, vals.ravel(), minlength=g * d * d)
+                part[block] = summed.reshape(g, d, d) / (1 << m)
+    return out
 
 
 def monomial_site_matrix(mono: PauliMonomial) -> DenseOperator:
     """The single-site 2^k x 2^k factor; the full operator is its n-th power."""
-    k, m = mono.k, mono.m
-    d = 1 << k
-    coeffs: dict[tuple[int, int], complex] = {}
-    for labels in itertools.product(range(4), repeat=m):
-        sign = 1
-        for i in range(m):
-            for j in range(i + 1, m):
-                if mono.phase_bit(i, j):
-                    sign *= _label_chi(labels[i], labels[j])
-        term = PauliString.identity(k)
-        for j in range(m):
-            lx, lz = labels[j] & 1, (labels[j] >> 1) & 1
-            factor = PauliString(k, mono.v_cols[j] if lx else 0, mono.v_cols[j] if lz else 0)
-            term = pauli_mul(term, factor)
-        key = (term.x, term.z)
-        coeffs[key] = coeffs.get(key, 0.0) + sign * (1j**term.phase)
-    mat = np.zeros((d, d), dtype=complex)
-    for (x, z), c in coeffs.items():
-        if abs(c) > 1e-14:
-            mat += c * pauli_matrix(PauliString(k, x, z))
-    return DenseOperator(d, mat / (1 << m))
+    return DenseOperator(1 << mono.k, _site_matrices([mono])[0])
 
 
 @lru_cache(maxsize=None)
 def _site_stack(k: int) -> tuple[tuple[PauliMonomial, ...], np.ndarray]:
     monos = tuple(enumerate_monomials(k))
-    mats = np.stack([monomial_site_matrix(mn).matrix for mn in monos])
+    mats = _site_matrices(monos)
     mats.flags.writeable = False
     return monos, mats
 
 
-def _integer_exponent(value: float, k: int, what: str) -> int:
-    """k - log2(value), demanded to be an integer within 1e-6."""
-    if value <= 0:
-        raise InternalConsistencyError(f"{what}: expected a positive power of two, got {value}")
-    a = k - math.log2(value)
-    r = round(a)
-    if abs(a - r) > 1e-6:
-        raise InternalConsistencyError(f"{what}: exponent {a} is not an integer")
-    return int(r)
+def _integer_exponent(values, k: int, what: str) -> np.ndarray:
+    """k - log2(values) elementwise, demanded to be integers within 1e-6."""
+    values = np.asarray(values, dtype=float)
+    positive = values > 0
+    if not positive.all():
+        bad = values[~positive].flat[0]
+        raise InternalConsistencyError(f"{what}: expected a positive power of two, got {bad}")
+    a = k - np.log2(values)
+    r = np.rint(a)
+    off = np.abs(a - r) > 1e-6
+    if off.any():
+        raise InternalConsistencyError(f"{what}: exponent {a[off].flat[0]} is not an integer")
+    return r.astype(np.int64)
 
 
 def _alpha_from_sites(site_a: np.ndarray, site_b: np.ndarray, k: int) -> int:
     tr = np.vdot(site_a, site_b)  # trace of a^dagger b
     if abs(tr.imag) > 1e-9:
         raise InternalConsistencyError("site overlap came out complex")
-    return _integer_exponent(float(tr.real), k, "alpha")
+    return int(_integer_exponent(tr.real, k, "alpha"))
 
 
 def alpha(a: PauliMonomial, b: PauliMonomial, n: int) -> int:
@@ -206,7 +239,7 @@ def trace_norm_exponent(mono: PauliMonomial, n: int = 1) -> int:
     if n < 1:
         raise ValidationError("need n >= 1")
     s = float(np.linalg.svd(monomial_site_matrix(mono).matrix, compute_uv=False).sum())
-    return _integer_exponent(s, mono.k, "trace-norm exponent")
+    return int(_integer_exponent(s, mono.k, "trace-norm exponent"))
 
 
 # ---------------------------------------------------------------------------
@@ -228,16 +261,12 @@ class WeingartenTable:
 
 @lru_cache(maxsize=None)
 def _alpha_table(k: int) -> np.ndarray:
-    monos, mats = _site_stack(k)
-    nmon = len(monos)
-    flat = mats.reshape(nmon, -1)
+    _, mats = _site_stack(k)
+    flat = mats.reshape(len(mats), -1)
     overlaps = flat.conj() @ flat.T
     if np.max(np.abs(overlaps.imag)) > 1e-9:
         raise InternalConsistencyError("monomial overlaps came out complex")
-    out = np.empty((nmon, nmon), dtype=np.int64)
-    for i in range(nmon):
-        for j in range(nmon):
-            out[i, j] = _integer_exponent(float(overlaps[i, j].real), k, "alpha")
+    out = _integer_exponent(overlaps.real, k, "alpha")
     out.flags.writeable = False
     return out
 
@@ -255,17 +284,20 @@ def gram_matrix(k: int, n: int) -> WeingartenTable:
     return WeingartenTable(k, n, monos, g, None, False, smin)
 
 
+def _stable_inverse(mat: np.ndarray, rcond: float) -> tuple[np.ndarray, bool]:
+    """(inverse, False), or (pseudoinverse at rcond, True) when the ratio of
+    the extreme singular values falls below rcond."""
+    s = np.linalg.svd(mat, compute_uv=False)
+    if s.min() / s.max() < rcond:
+        return np.linalg.pinv(mat, rcond=rcond), True
+    return np.linalg.inv(mat), False
+
+
 @lru_cache(maxsize=None)
 def weingarten_table(k: int, n: int) -> WeingartenTable:
     """Gram matrix plus its inverse (pseudoinverse with flag when singular)."""
     base = gram_matrix(k, n)
-    s = np.linalg.svd(base.gram, compute_uv=False)
-    if s.min() / s.max() < 1e-10:
-        w = np.linalg.pinv(base.gram, rcond=1e-10)
-        pseudo = True
-    else:
-        w = np.linalg.inv(base.gram)
-        pseudo = False
+    w, pseudo = _stable_inverse(base.gram, 1e-10)
     w = 0.5 * (w + w.T)  # G is symmetric; keep its inverse exactly so
     w.flags.writeable = False
     return replace(base, weingarten=w, pseudo=pseudo)
@@ -414,43 +446,21 @@ def permutation_gram(k: int, d: int) -> np.ndarray:
     return lam
 
 
-def _haar_setup(k: int, d: int):
+def haar_twirl(o, k: int, d: int) -> DenseOperator:
+    """Exact Haar k-fold twirl: orthogonal projection onto span{T_pi}."""
     if not 1 <= k <= MAX_HAAR_COPIES:
         raise ValidationError(f"Haar twirls support 1 <= k <= {MAX_HAAR_COPIES}")
     if d**k > MAX_COPY_OPERATOR_DIM:
         raise ValidationError("k-copy dimension over limit")
-    perms = list(itertools.permutations(range(k)))
-    tmats = np.stack([_permutation_matrix(p, d) for p in perms])
-    return perms, tmats
-
-
-def haar_twirl(o, k: int, d: int) -> DenseOperator:
-    """Exact Haar k-fold twirl: orthogonal projection onto span{T_pi}."""
-    perms, tmats = _haar_setup(k, d)
+    tmats = np.stack([_permutation_matrix(p, d) for p in itertools.permutations(range(k))])
     om = _operand(o)
     dim = d**k
     if om.shape != (dim, dim):
         raise ValidationError(f"operand must be {dim}x{dim}")
-    lam = permutation_gram(k, d)
-    s = np.linalg.svd(lam, compute_uv=False)
-    if s.min() / s.max() < 1e-12:
-        winv = np.linalg.pinv(lam, rcond=1e-12)
-    else:
-        winv = np.linalg.inv(lam)
-    traces = tmats.reshape(len(perms), -1) @ om.reshape(-1)  # T real
+    winv, _ = _stable_inverse(permutation_gram(k, d), 1e-12)
+    traces = tmats.reshape(len(tmats), -1) @ om.reshape(-1)  # T real
     coeffs = winv @ traces
     return DenseOperator(dim, np.tensordot(coeffs, tmats, axes=1))
-
-
-def approx_haar_twirl(o, k: int, d: int) -> DenseOperator:
-    """Permutation-diagonal approximation (1/d^k) sum_pi tr(T_pi^dagger O) T_pi."""
-    perms, tmats = _haar_setup(k, d)
-    om = _operand(o)
-    dim = d**k
-    if om.shape != (dim, dim):
-        raise ValidationError(f"operand must be {dim}x{dim}")
-    traces = tmats.reshape(len(perms), -1) @ om.reshape(-1)
-    return DenseOperator(dim, np.tensordot(traces, tmats, axes=1) / float(dim))
 
 
 # ---------------------------------------------------------------------------

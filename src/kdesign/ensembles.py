@@ -20,8 +20,8 @@ import numpy as np
 
 from .commutant import (
     PermutationOp,
-    enumerate_monomials,
-    monomial_full_matrix,
+    _full_stack,
+    _stable_inverse,
     permutation_gram,
     weingarten_table,
 )
@@ -339,39 +339,28 @@ def exact_moment_choi(spec: EnsembleSpec, k: int) -> np.ndarray:
             acc += vs.T @ vs.conj()
         return _checked_choi(acc / len(els))
     if isinstance(spec, Haar):
-        perms = [PermutationOp(p, d).matrix for p in _permutations(k)]
-        lam = permutation_gram(k, d)
-        winv = _stable_inverse(lam)
-        j = np.zeros((big * big, big * big), dtype=complex)
-        for a, ta in enumerate(perms):
-            for b, tb in enumerate(perms):
-                if winv[a, b] != 0.0:
-                    j += winv[a, b] * np.kron(ta, tb)
-        return _checked_choi(j / big)
+        tmats = np.stack([PermutationOp(p, d).matrix for p in itertools.permutations(range(k))])
+        winv, _ = _stable_inverse(permutation_gram(k, d), 1e-12)
+        return _checked_choi(_commutant_choi(winv, tmats) / big)
     if isinstance(spec, CliffordUniform):
         table = weingarten_table(k, spec.n)
-        if table.weingarten is None:
-            raise ValidationError("no Weingarten table at this k")
-        mats = [monomial_full_matrix(m, spec.n).matrix for m in enumerate_monomials(k)]
-        j = np.zeros((big * big, big * big), dtype=complex)
-        for a, ma in enumerate(mats):
-            for b, mb in enumerate(mats):
-                w = table.weingarten[a, b]
-                if w != 0.0:
-                    j += w * np.kron(ma, mb.conj())
-        return _checked_choi(j / (big * big))
+        mats = _full_stack(k, spec.n)
+        return _checked_choi(_commutant_choi(table.weingarten, mats) / (big * big))
     raise ValidationError(f"no exact Choi path for {type(spec).__name__}")
 
 
-def _permutations(k: int):
-    return list(itertools.permutations(range(k)))
+def _commutant_choi(w: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """sum_{a,b} w[a,b] A_a x conj(A_b) over stacked (s, D, D) operators.
 
-
-def _stable_inverse(mat: np.ndarray) -> np.ndarray:
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv[-1] / sv[0] < 1e-12:
-        return np.linalg.pinv(mat, rcond=1e-12)
-    return np.linalg.inv(mat)
+    One GEMM, X^T (w conj(X)) with the operators as rows of X, gives the sum
+    indexed [(i,k), (j,l)]; a transpose puts it in Kronecker order
+    [(i,j), (k,l)].
+    """
+    s, dim = mats.shape[:2]
+    flat = mats.reshape(s, dim * dim)
+    y = flat.T @ (w @ flat.conj())
+    y = y.reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim)
+    return y.astype(complex, copy=False)
 
 
 def adaptive_output_state(

@@ -13,10 +13,13 @@ from kdesign.commutant import (
     PauliMonomial,
     PermutationOp,
     _alpha_from_sites,
+    _alpha_table,
     _fraction_inverse,
+    _integer_exponent,
     _permutation_matrix,
+    _site_matrices,
+    _site_stack,
     alpha,
-    approx_haar_twirl,
     clifford_twirl,
     enumerate_monomials,
     export_weingarten_table,
@@ -32,12 +35,13 @@ from kdesign.commutant import (
     weingarten_table,
 )
 from kdesign.dense import haar_state, haar_unitary
-from kdesign.errors import ValidationError
+from kdesign.errors import InternalConsistencyError, ValidationError
 from kdesign.pauli import (
     PauliString,
     clifford_to_matrix,
     enumerate_cliffords,
     pauli_matrix,
+    pauli_mul,
     random_clifford,
 )
 
@@ -76,6 +80,57 @@ def test_site_matrix_identity_and_swap():
     np.testing.assert_allclose(sw, want, atol=1e-12)
     np.testing.assert_allclose(sw @ sw, np.eye(4), atol=1e-12)
     assert np.trace(sw) == pytest.approx(2.0)
+
+
+def reference_site_matrix(mono: PauliMonomial) -> np.ndarray:
+    """Per-monomial construction: PauliString products over label tuples."""
+    k, m = mono.k, mono.m
+    coeffs: dict[tuple[int, int], complex] = {}
+    for labels in itertools.product(range(4), repeat=m):
+        sign = 1
+        for i in range(m):
+            for j in range(i + 1, m):
+                a, b = labels[i], labels[j]
+                if mono.phase_bit(i, j) and ((a & (b >> 1)) ^ ((a >> 1) & b)) & 1:
+                    sign = -sign
+        term = PauliString.identity(k)
+        for j in range(m):
+            lx, lz = labels[j] & 1, (labels[j] >> 1) & 1
+            factor = PauliString(k, mono.v_cols[j] if lx else 0, mono.v_cols[j] if lz else 0)
+            term = pauli_mul(term, factor)
+        key = (term.x, term.z)
+        coeffs[key] = coeffs.get(key, 0.0) + sign * (1j**term.phase)
+    mat = np.zeros((1 << k, 1 << k), dtype=complex)
+    for (x, z), c in coeffs.items():
+        if abs(c) > 1e-14:
+            mat += c * pauli_matrix(PauliString(k, x, z))
+    return mat / (1 << m)
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()  # signed zeros included
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_site_stack_matches_reference_construction(k):
+    monos, stack = _site_stack(k)
+    assert_same_bits(stack, np.stack([reference_site_matrix(mn) for mn in monos]))
+    for mono, row in zip(monos, stack):
+        assert_same_bits(monomial_site_matrix(mono).matrix, row)
+
+
+def test_site_matrices_match_reference_on_k6_sample():
+    monos = enumerate_monomials(6)
+    sample = []
+    for m in range(6):
+        idx = [i for i, mn in enumerate(monos) if mn.m == m]
+        sample += [monos[i] for i in sorted({idx[0], idx[len(idx) // 2], idx[-1]})]
+    assert {mn.m for mn in sample} == set(range(6))
+    want = np.stack([reference_site_matrix(mn) for mn in sample])
+    assert_same_bits(_site_matrices(sample), want)
+    for mono, row in zip(sample, want):
+        assert_same_bits(monomial_site_matrix(mono).matrix, row)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -134,6 +189,26 @@ def test_alpha_basics():
     assert alpha(ident, sw, 3) == 1
     with pytest.raises(ValidationError):
         alpha(ident, enumerate_monomials(3)[0], 2)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_alpha_table_matches_pairwise_alpha(k):
+    monos = enumerate_monomials(k)
+    want = np.array([[alpha(a, b, 1) for b in monos] for a in monos])
+    table = _alpha_table(k)
+    assert table.dtype == np.int64
+    assert np.array_equal(table, want)
+
+
+def test_integer_exponent_rejects_bad_overlaps():
+    assert int(_integer_exponent(0.25, 3, "x")) == 5
+    got = _integer_exponent(np.array([[8.0, 1.0], [0.5, 2.0]]), 3, "x")
+    assert np.array_equal(got, [[0, 3], [4, 2]])
+    for bad in (0.0, -2.0, 3.0):
+        with pytest.raises(InternalConsistencyError):
+            _integer_exponent(bad, 3, "x")
+        with pytest.raises(InternalConsistencyError):
+            _integer_exponent(np.array([1.0, bad, 4.0]), 3, "x")
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -329,55 +404,6 @@ def test_haar_twirl_pseudo_when_d_lt_k():
     # d=2 < k=3: T_pi are linearly dependent; the projection must still fix them
     t = _permutation_matrix((1, 2, 0), 2)
     np.testing.assert_allclose(haar_twirl(t, 3, 2).matrix, t, atol=1e-9)
-
-
-def test_approx_haar_twirl_k1_and_permutation_action():
-    rng = np.random.default_rng(59)
-    o = random_operand(4, rng)
-    np.testing.assert_allclose(
-        approx_haar_twirl(o, 1, 4).matrix, haar_twirl(o, 1, 4).matrix, atol=1e-12
-    )
-    k, d = 2, 4
-    perms = list(itertools.permutations(range(k)))
-    for sigma in perms:
-        got = approx_haar_twirl(_permutation_matrix(sigma, d), k, d).matrix
-        want = np.zeros_like(got)
-        for pi in perms:
-            comp = tuple(pi[_inv(sigma)[c]] for c in range(k))  # pi sigma^-1
-            want += float(d) ** (_ncycles(comp) - k) * _permutation_matrix(pi, d)
-        np.testing.assert_allclose(got, want, atol=1e-10)
-
-
-def _inv(p):
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
-
-
-def _ncycles(p):
-    seen = [False] * len(p)
-    c = 0
-    for s in range(len(p)):
-        if seen[s]:
-            continue
-        c += 1
-        while not seen[s]:
-            seen[s] = True
-            s = p[s]
-    return c
-
-
-def test_approx_haar_twirl_close_to_exact():
-    rng = np.random.default_rng(61)
-    k, d = 2, 16
-    g = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
-    rho = g @ g.conj().T
-    rho /= np.trace(rho)
-    a = approx_haar_twirl(rho, k, d).matrix
-    h = haar_twirl(rho, k, d).matrix
-    dist = np.abs(np.linalg.eigvalsh(a - h)).sum()
-    assert dist <= 2 * k**2 / d
 
 
 def test_three_design_agreement_and_k4_gap():

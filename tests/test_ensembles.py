@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
+from kdesign.commutant import (
+    PermutationOp,
+    enumerate_monomials,
+    monomial_full_matrix,
+    permutation_gram,
+    weingarten_table,
+)
 from kdesign.dense import DenseOperator, haar_unitary, query_output_state
 from kdesign.ensembles import (
     CliffordEnumerated,
@@ -236,6 +245,49 @@ def test_exact_choi_weingarten_matches_enumeration():
         ja = exact_moment_choi(CliffordUniform(1), k)
         jb = exact_moment_choi(CliffordEnumerated(1), k)
         np.testing.assert_allclose(ja, jb, atol=1e-10)
+
+
+def reference_exact_choi(spec, k: int) -> np.ndarray:
+    """Haar/uniform-Clifford Choi state as the |basis|^2 Kronecker sum."""
+    if isinstance(spec, Haar):
+        d = 1 << spec.n
+        mats = [PermutationOp(p, d).matrix for p in itertools.permutations(range(k))]
+        lam = permutation_gram(k, d)
+        sv = np.linalg.svd(lam, compute_uv=False)
+        if sv[-1] / sv[0] < 1e-12:
+            w = np.linalg.pinv(lam, rcond=1e-12)
+        else:
+            w = np.linalg.inv(lam)
+        norm = d**k
+    else:
+        mats = [monomial_full_matrix(m, spec.n).matrix for m in enumerate_monomials(k)]
+        w = weingarten_table(k, spec.n).weingarten
+        norm = (1 << spec.n) ** (2 * k)
+    dim = mats[0].shape[0] ** 2
+    j = np.zeros((dim, dim), dtype=complex)
+    for a, ma in enumerate(mats):
+        for b, mb in enumerate(mats):
+            if w[a, b] != 0.0:
+                j += w[a, b] * np.kron(ma, mb.conj())
+    j = j / norm
+    return 0.5 * (j + j.conj().T)
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (1, 2), (2, 2)])
+def test_exact_choi_haar_bit_identical_to_kron_sum(n, k):
+    got = exact_moment_choi(Haar(n), k)
+    want = reference_exact_choi(Haar(n), k)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "spec,k",
+    [(CliffordUniform(1), k) for k in (1, 2, 3, 4)]
+    + [(CliffordUniform(2), 1), (CliffordUniform(2), 2), (Haar(1), 3), (Haar(1), 4)],
+)
+def test_exact_choi_matches_kron_sum(spec, k):
+    got = exact_moment_choi(spec, k)
+    np.testing.assert_allclose(got, reference_exact_choi(spec, k), rtol=0, atol=1e-15)
 
 
 def test_moment_choi_haar_matches_exact():
