@@ -89,6 +89,12 @@ def _parse_t_range(text: str) -> list[int]:
         ) from None
 
 
+def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise ValidationError(f"--seed must be nonnegative, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _ensemble_from_args(args: argparse.Namespace):
     if args.ensemble == "haar":
         return Haar(args.n)
@@ -124,9 +130,9 @@ def cmd_commutant(args: argparse.Namespace) -> int:
 
 def cmd_frame_potential(args: argparse.Namespace) -> int:
     started = time.monotonic()
+    rng = _rng(args.seed)
     out = _resolve_out(args.out)
     spec = _ensemble_from_args(args)
-    rng = np.random.default_rng(args.seed)
     estimate, stderr = frame_potential(spec, args.k, args.samples, rng)
     stem = f"frame_potential_{args.ensemble}_n{args.n}_k{args.k}_seed{args.seed}"
     path = os.path.join(out, f"{stem}.csv")
@@ -155,8 +161,8 @@ def cmd_frame_potential(args: argparse.Namespace) -> int:
 def cmd_decay(args: argparse.Namespace) -> int:
     started = time.monotonic()
     ts = _parse_t_range(args.t)
+    rng = _rng(args.seed)
     out = _resolve_out(args.out)
-    rng = np.random.default_rng(args.seed)
     report = decay_experiment(
         args.n,
         args.k,
@@ -195,9 +201,9 @@ def cmd_decay(args: argparse.Namespace) -> int:
 
 def cmd_distinguish(args: argparse.Namespace) -> int:
     started = time.monotonic()
+    rng = _rng(args.seed)
     out = _resolve_out(args.out)
     l = args.l if args.l is not None else 3 * args.t + 2
-    rng = np.random.default_rng(args.seed)
     source_report = distinguish(
         CompressibleSource(args.n, args.t),
         l,
@@ -265,8 +271,8 @@ def cmd_twirl_check(args: argparse.Namespace) -> int:
     started = time.monotonic()
     if args.inputs < 1:
         raise ValidationError(f"--inputs must be at least 1, got {args.inputs}")
+    rng = _rng(args.seed)
     out = _resolve_out(args.out)
-    rng = np.random.default_rng(args.seed)
     d = 2**args.n
     dim = d**args.k
     rows = []

@@ -13,7 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalConsistencyError, ValidationError
-from .pauli import PauliString, _fwht, apply_pauli, pauli_expectations_all
+from .pauli import (
+    PauliString,
+    _fwht,
+    _pauli_table,
+    _qubit_count,
+    apply_pauli,
+    pauli_expectations_all,
+)
 
 MAX_STATE_QUBITS = 12
 MAX_DENSE_DIM = 1 << MAX_STATE_QUBITS
@@ -74,13 +81,6 @@ def _amps(psi) -> np.ndarray:
     return np.asarray(getattr(psi, "amplitudes", psi), dtype=complex)
 
 
-def _nqubits(amps: np.ndarray) -> int:
-    n = int(np.log2(len(amps)))
-    if 1 << n != len(amps):
-        raise ValidationError("amplitude count is not a power of two")
-    return n
-
-
 def haar_state(n: int, rng: np.random.Generator) -> StateVector:
     """Exactly Haar-distributed pure state (normalized complex Gaussian)."""
     if n < 1 or (1 << n) > MAX_DENSE_DIM:
@@ -131,7 +131,7 @@ def _check_table_size(n: int) -> None:
 def pauli_distribution(psi) -> np.ndarray:
     """Characteristic distribution: table of tr^2(P psi)/d over all P."""
     amps = _amps(psi)
-    n = _nqubits(amps)
+    n = _qubit_count(amps)
     _check_table_size(n)
     exps = pauli_expectations_all(amps, n)
     table = exps**2 / (1 << n)
@@ -148,17 +148,10 @@ def bell_table(psi) -> np.ndarray:
     outcome (a, b) when psi x psi is measured pairwise in the Bell basis.
     """
     amps = _amps(psi)
-    n = _nqubits(amps)
+    n = _qubit_count(amps)
     _check_table_size(n)
-    d = 1 << n
-    idx = np.arange(d)
-    popcount = np.array([v.bit_count() for v in range(d)])
-    out = np.empty((d, d), dtype=float)
-    for a in range(d):
-        u = amps[idx ^ a] * amps  # no conjugate: transpose inner product
-        f = _fwht(u)
-        amp = (1j ** (popcount[a & idx] % 4)) * f
-        out[a, :] = np.abs(amp) ** 2 / d
+    # no conjugate: transpose inner product
+    out = np.abs(_pauli_table(amps, amps)) ** 2 / (1 << n)
     total = float(out.sum())
     if abs(total - 1.0) > 1e-9:
         raise InternalConsistencyError(f"Bell table sums to {total}")
@@ -216,7 +209,7 @@ def bell_difference_sample(
     per-call transform.
     """
     amps = _amps(psi)
-    n = _nqubits(amps)
+    n = _qubit_count(amps)
     _check_table_size(n)
     if path == "table":
         t = bell_difference_table(amps) if table is None else table

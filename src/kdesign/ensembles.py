@@ -306,12 +306,15 @@ def moment_choi(
         for s in range(len(vs)):
             vs[s] = _kth_power(next(us), k).reshape(-1) * scale
         acc += vs.T @ vs.conj()
-    j = acc / samples
-    return _checked_choi(j)
+    acc /= samples
+    return _checked_choi(acc)
 
 
 def _checked_choi(j: np.ndarray) -> np.ndarray:
-    j = 0.5 * (j + j.conj().T)
+    """Symmetrize j in place (conj() of a complex array is a copy, so the
+    transpose does not alias j) and check its trace."""
+    j += j.conj().T
+    j *= 0.5
     tr = np.trace(j).real
     if abs(tr - 1.0) > 1e-9:
         raise InternalConsistencyError(f"Choi trace {tr} drifted from 1")
@@ -337,15 +340,20 @@ def exact_moment_choi(spec: EnsembleSpec, k: int) -> np.ndarray:
             for i, u in enumerate(part):
                 vs[i] = _kth_power(u.matrix, k).reshape(-1) * scale
             acc += vs.T @ vs.conj()
-        return _checked_choi(acc / len(els))
+        acc /= len(els)
+        return _checked_choi(acc)
     if isinstance(spec, Haar):
         tmats = np.stack([PermutationOp(p, d).matrix for p in itertools.permutations(range(k))])
         winv, _ = _stable_inverse(permutation_gram(k, d), 1e-12)
-        return _checked_choi(_commutant_choi(winv, tmats) / big)
+        j = _commutant_choi(winv, tmats)
+        j /= big
+        return _checked_choi(j)
     if isinstance(spec, CliffordUniform):
         table = weingarten_table(k, spec.n)
         mats = _full_stack(k, spec.n)
-        return _checked_choi(_commutant_choi(table.weingarten, mats) / (big * big))
+        j = _commutant_choi(table.weingarten, mats)
+        j /= big * big
+        return _checked_choi(j)
     raise ValidationError(f"no exact Choi path for {type(spec).__name__}")
 
 

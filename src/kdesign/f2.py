@@ -44,17 +44,6 @@ class BinVec:
     def is_zero(self) -> bool:
         return self.bits == 0
 
-    def to_list(self) -> list[int]:
-        return [(self.bits >> j) & 1 for j in range(self.n)]
-
-    @classmethod
-    def from_list(cls, coeffs: list[int]) -> "BinVec":
-        bits = 0
-        for j, c in enumerate(coeffs):
-            if c & 1:
-                bits |= 1 << j
-        return cls(len(coeffs), bits)
-
     @classmethod
     def zero(cls, n: int) -> "BinVec":
         return cls(n, 0)

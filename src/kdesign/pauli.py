@@ -177,11 +177,11 @@ class CliffordOp:
             if not g.is_hermitian():
                 raise ValidationError("generator images must carry sign +/-1 only")
         # S^T J S = J: images inherit the generators' commutation table.
-        for a in range(2 * self.n):
+        for a, ga in enumerate(gens):
             for b in range(a + 1, 2 * self.n):
-                want = 1 if b == a + self.n else 0
-                got = symplectic_product(gens[a].symplectic_vec, gens[b].symplectic_vec)
-                if got != want:
+                gb = gens[b]
+                got = ((ga.x & gb.z) ^ (ga.z & gb.x)).bit_count() & 1
+                if got != (b == a + self.n):
                     raise ValidationError("images do not satisfy the symplectic condition")
 
     @classmethod
@@ -577,17 +577,35 @@ class StabilizerGroup:
 
 
 def _fwht(v: np.ndarray) -> np.ndarray:
-    """Walsh-Hadamard transform, unnormalized, length a power of two."""
+    """Walsh-Hadamard transform of the last axis, unnormalized; its length
+    is a power of two."""
     v = v.copy()
     h = 1
-    while h < len(v):
-        v = v.reshape(-1, 2, h)
-        a = v[:, 0, :].copy()
-        v[:, 0, :] = a + v[:, 1, :]
-        v[:, 1, :] = a - v[:, 1, :]
-        v = v.reshape(-1)
+    while h < v.shape[-1]:
+        w = v.reshape(*v.shape[:-1], -1, 2, h)
+        lo, hi = w[..., 0, :], w[..., 1, :]
+        a = lo.copy()
+        lo += hi
+        np.subtract(a, hi, out=hi)
         h *= 2
     return v
+
+
+# i^k for k = 0..3, as `1j ** k` gives them
+_I_POWERS = 1j ** np.arange(4)
+
+
+def _pauli_table(left: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """Entry [a, b] is sum_x left[x ^ a] <x ^ a| sigma(a, b) |x> amps[x].
+
+    That is i^|a & b| FWHT_b(left[x ^ a] amps[x]), computed for every row a
+    at once as a complex (2^n, 2^n) array.  left = conj(amps) gives the
+    Pauli expectations, left = amps the transpose amplitudes of the Bell
+    basis.
+    """
+    idx = np.arange(len(amps))
+    f = _fwht(left[idx[:, None] ^ idx] * amps)
+    return _I_POWERS[np.bitwise_count(idx[:, None] & idx) % 4] * f
 
 
 def pauli_expectations_all(amps: np.ndarray, n: int) -> np.ndarray:
@@ -598,17 +616,18 @@ def pauli_expectations_all(amps: np.ndarray, n: int) -> np.ndarray:
     d = 1 << n
     if amps.shape != (d,):
         raise ValidationError("amplitude count does not match n")
-    out = np.empty((d, d), dtype=float)
-    idx = np.arange(d)
-    popcount = np.array([v.bit_count() for v in range(d)])
-    for a in range(d):
-        v = np.conj(amps[idx ^ a]) * amps
-        f = _fwht(v)
-        vals = (1j ** (popcount[a & idx] % 4)) * f
-        if np.max(np.abs(vals.imag)) > 1e-7:
-            raise InternalConsistencyError("Pauli expectation came out non-real")
-        out[a, :] = vals.real
-    return out
+    vals = _pauli_table(np.conj(amps), amps)
+    if np.max(np.abs(vals.imag)) > 1e-7:
+        raise InternalConsistencyError("Pauli expectation came out non-real")
+    return vals.real.copy()
+
+
+def _qubit_count(amps: np.ndarray) -> int:
+    """n for a state of 2^n amplitudes; ValidationError for any other length."""
+    d = len(amps)
+    if d < 1 or d & (d - 1):
+        raise ValidationError(f"amplitude count {d} is not a power of two")
+    return d.bit_length() - 1
 
 
 def stabilizer_group_of(psi, t: int) -> StabilizerGroup:
@@ -619,31 +638,24 @@ def stabilizer_group_of(psi, t: int) -> StabilizerGroup:
     order 2^(n-t).
     """
     amps = np.asarray(getattr(psi, "amplitudes", psi), dtype=complex)
-    n = int(np.log2(len(amps)))
-    if 1 << n != len(amps):
-        raise ValidationError("state length is not a power of two")
+    n = _qubit_count(amps)
     if n > 8:
         raise ValidationError("stabilizer scan limited to n <= 8")
     if not 0 <= t <= n:
         raise ValidationError(f"need 0 <= t <= n, got t={t}")
 
     exps = pauli_expectations_all(amps, n)
-    members: list[tuple[int, int, int]] = []
-    for a in range(1 << n):
-        for b in range(1 << n):
-            e = exps[a, b]
-            if abs(abs(e) - 1.0) <= 1e-9:
-                members.append((a, b, 0 if e > 0 else 2))
+    xs, zs = np.nonzero(np.abs(np.abs(exps) - 1.0) <= 1e-9)
 
     expected = 1 << (n - t)
-    if len(members) != expected:
+    if len(xs) != expected:
         raise ValidationError(
-            f"found {len(members)} stabilizing Paulis, expected {expected} for t={t}"
+            f"found {len(xs)} stabilizing Paulis, expected {expected} for t={t}"
         )
-    vec_set = {x | (z << n) for x, z, _ in members}
-    basis = rref_basis([BinVec(2 * n, v) for v in sorted(vec_set) if v], 2 * n)
+    vecs = sorted((xs | (zs << n)).tolist())
+    basis = rref_basis([BinVec(2 * n, v) for v in vecs if v], 2 * n)
     # a subset of its own span is the span (hence a group) iff the sizes agree
-    if (1 << len(basis)) != len(vec_set):
+    if (1 << len(basis)) != len(vecs):
         raise ValidationError("stabilizing Paulis are not closed under products")
     gens = []
     for v in basis:

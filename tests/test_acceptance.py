@@ -1,9 +1,10 @@
 """Acceptance gate: one test per headline guarantee, re-derived from scratch.
 
 Each test owns its tolerance and its frozen seed; `pytest -v` gives one
-pass/fail line per guarantee. The slow entries are the moment-decay
-experiment (~2 min), the k=4 frame-potential separation and the
-enumerated group average (~1 min each).
+pass/fail line per guarantee. The three entries marked `slow` are the
+moment-decay experiment (~2 min), the k=4 frame-potential separation and
+the enumerated group average (~1 min each); `pytest -m "not slow"` skips
+them.
 """
 
 from __future__ import annotations
@@ -86,6 +87,7 @@ def test_01_commutant_basis_count():
         assert monomial_count(k) == product
 
 
+@pytest.mark.slow
 def test_02_twirl_matches_enumerated_group_average():
     rng = np.random.default_rng(42)
     groups = {}
@@ -118,6 +120,7 @@ def test_03_clifford_is_exactly_a_3_design_and_not_a_4_design():
     assert gap4 > 10 * 1e-8, f"k=4 twirls coincide to {gap4:.3e}"
 
 
+@pytest.mark.slow
 def test_04_moment_distance_decay_stays_under_envelope():
     rng = np.random.default_rng(20260501)
     report = decay_experiment(5, 1, [1, 2, 3, 4, 5], 20000, rng)
@@ -242,6 +245,7 @@ def test_10_compression_pins_the_trailing_qubits():
         assert p_zero >= 1 - 1e-9, f"trial {trial} (n={n}, t={t}): P(0...0) = {p_zero}"
 
 
+@pytest.mark.slow
 def test_11_frame_potentials_split_at_k_4():
     rng = np.random.default_rng(424242)
     for spec in (Haar(2), CliffordUniform(2)):

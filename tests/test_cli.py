@@ -196,3 +196,20 @@ def test_homeopathy_frame_potential_needs_t(tmp_path, capsys):
     )
     assert rc == 2
     assert "needs --t" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["frame-potential", "--ensemble", "haar", "--n", "1", "--k", "1", "--samples", "10"],
+        ["decay", "--n", "2", "--k", "1", "--t", "1", "--samples", "20"],
+        ["distinguish", "--n", "2", "--t", "0", "--trials", "2"],
+        ["twirl-check", "--n", "1", "--k", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_seed_exits_2_before_writing(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run(argv + ["--seed", "-1", "--out", str(out)]) == 2
+    assert "--seed must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()

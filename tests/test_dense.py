@@ -24,6 +24,7 @@ from kdesign.dense import (
 from kdesign.errors import ValidationError
 from kdesign.pauli import (
     PauliString,
+    _fwht,
     chi,
     clifford_to_matrix,
     pauli_matrix,
@@ -125,6 +126,34 @@ def test_bell_table_matches_explicit_bell_basis():
         np.testing.assert_allclose(
             bell_table(amps), bell_table_oracle(amps, n), atol=1e-12
         )
+
+
+def loop_bell_table(amps: np.ndarray, n: int) -> np.ndarray:
+    """Reference: one 1-D transform per row a, i-power from a Python
+    popcount list."""
+    d = 1 << n
+    idx = np.arange(d)
+    popcount = np.array([v.bit_count() for v in range(d)])
+    out = np.empty((d, d), dtype=float)
+    for a in range(d):
+        f = _fwht(amps[idx ^ a] * amps)
+        out[a, :] = np.abs((1j ** (popcount[a & idx] % 4)) * f) ** 2 / d
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_bell_table_equals_the_row_loop_bit_for_bit(n):
+    rng = np.random.default_rng(80 + n)
+    states = [haar_state(n, rng).amplitudes, clifford_to_matrix(random_clifford(n, rng))[:, 0]]
+    for amps in states:
+        assert bell_table(amps).tobytes() == loop_bell_table(amps, n).tobytes()
+
+
+@pytest.mark.parametrize("table", [pauli_distribution, bell_table, bell_difference_table])
+@pytest.mark.parametrize("length", [0, 3])
+def test_tables_reject_lengths_that_are_not_powers_of_two(table, length):
+    with pytest.raises(ValidationError, match="not a power of two"):
+        table(np.ones(length, dtype=complex))
 
 
 def test_xor_convolve_oracle():

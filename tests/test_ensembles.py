@@ -30,7 +30,7 @@ from kdesign.ensembles import (
     sample,
     to_config,
 )
-from kdesign.ensembles import _samples
+from kdesign.ensembles import _checked_choi, _samples
 from kdesign.errors import ValidationError
 
 
@@ -271,6 +271,17 @@ def reference_exact_choi(spec, k: int) -> np.ndarray:
                 j += w[a, b] * np.kron(ma, mb.conj())
     j = j / norm
     return 0.5 * (j + j.conj().T)
+
+
+def test_checked_choi_symmetrizes_in_place_like_the_two_copy_formula():
+    rng = np.random.default_rng(12)
+    j = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    j[np.diag_indices(16)] = 1 / 16 + 1j * rng.normal(size=16)
+    want = 0.5 * (j + j.conj().T)
+    work = j.copy()
+    got = _checked_choi(work)
+    assert got is work
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n,k", [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (1, 2), (2, 2)])

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from kdesign.attack import make_compressible
 from kdesign.errors import ValidationError
-from kdesign.f2 import BinVec
+from kdesign.f2 import BinVec, rref_basis, symplectic_product
 from kdesign.pauli import (
     CliffordOp,
     PauliString,
@@ -267,6 +268,35 @@ def test_bad_tableau_rejected():
         CliffordOp(1, (PauliString(1, 1, 0),), (PauliString(1, 1, 0),))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_one_flipped_image_bit_is_rejected_unless_still_symplectic(n):
+    """Every single-bit flip of an image: CliffordOp accepts exactly the
+    tableaus whose images pass the pairwise BinVec symplectic check."""
+    rng = np.random.default_rng(40 + n)
+    nn = 2 * n
+    rejected = 0
+    for _ in range(3):
+        tab = random_tableau(n, rng)
+        for j in range(nn):
+            for i in range(nn):
+                bad = list(tab)
+                bad[j] ^= 1 << i
+                vecs = [BinVec(nn, v) for v in bad[:-1]]
+                symplectic = all(
+                    symplectic_product(vecs[a], vecs[b]) == (b == a + n)
+                    for a in range(nn)
+                    for b in range(a + 1, nn)
+                )
+                if symplectic:
+                    CliffordOp.from_tableau(n, bad)
+                else:
+                    rejected += 1
+                    with pytest.raises(ValidationError):
+                        CliffordOp.from_tableau(n, bad)
+    # a flip keeps the form only when it adds the partner image itself
+    assert rejected >= 3 * nn * (nn - 1)
+
+
 # ---------------------------------------------------------------------------
 # sampler internals and uniformity
 
@@ -433,6 +463,90 @@ def test_pauli_expectations_all_oracle():
         for b in (0, 2, 3, 6):
             want = np.vdot(v, pauli_matrix(PauliString(n, a, b)) @ v).real
             assert abs(table[a, b] - want) < 1e-10
+
+
+def loop_fwht(v: np.ndarray) -> np.ndarray:
+    """Reference: the in-place butterfly on one 1-D vector."""
+    v = v.copy()
+    h = 1
+    while h < len(v):
+        v = v.reshape(-1, 2, h)
+        a = v[:, 0, :].copy()
+        v[:, 0, :] = a + v[:, 1, :]
+        v[:, 1, :] = a - v[:, 1, :]
+        v = v.reshape(-1)
+        h *= 2
+    return v
+
+
+def loop_pauli_expectations(amps: np.ndarray, n: int) -> np.ndarray:
+    """Reference: one transform per row a, i-power from a Python popcount list."""
+    d = 1 << n
+    out = np.empty((d, d), dtype=float)
+    idx = np.arange(d)
+    popcount = np.array([v.bit_count() for v in range(d)])
+    for a in range(d):
+        vals = (1j ** (popcount[a & idx] % 4)) * loop_fwht(np.conj(amps[idx ^ a]) * amps)
+        assert np.max(np.abs(vals.imag)) <= 1e-7
+        out[a, :] = vals.real
+    return out
+
+
+def loop_stabilizer_generators(amps: np.ndarray, n: int) -> list[tuple[int, int, int]]:
+    """Reference: row-major double-loop scan, then the RREF basis, signed."""
+    exps = loop_pauli_expectations(amps, n)
+    vecs = set()
+    for a in range(1 << n):
+        for b in range(1 << n):
+            if abs(abs(exps[a, b]) - 1.0) <= 1e-9:
+                vecs.add(a | (b << n))
+    gens = []
+    for v in rref_basis([BinVec(2 * n, v) for v in sorted(vecs) if v], 2 * n):
+        x, z = v.bits & ((1 << n) - 1), v.bits >> n
+        gens.append((x, z, 0 if exps[x, z] > 0 else 2))
+    return gens
+
+
+def test_fwht_transforms_the_last_axis_row_by_row():
+    rng = np.random.default_rng(3)
+    m = rng.normal(size=(3, 5, 16)) + 1j * rng.normal(size=(3, 5, 16))
+    f = _fwht(m)
+    for i, j in itertools.product(range(3), range(5)):
+        assert f[i, j].tobytes() == loop_fwht(m[i, j]).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pauli_expectations_all_equals_the_row_loop_bit_for_bit(n):
+    rng = np.random.default_rng(60 + n)
+    d = 1 << n
+    haar = rng.normal(size=d) + 1j * rng.normal(size=d)
+    states = [haar / np.linalg.norm(haar), clifford_to_matrix(random_clifford(n, rng))[:, 0]]
+    for v in states:
+        assert pauli_expectations_all(v, n).tobytes() == loop_pauli_expectations(v, n).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_stabilizer_group_of_matches_the_double_loop_scan(n):
+    rng = np.random.default_rng(70 + n)
+    for t in range(n + 1):
+        amps = make_compressible(n, t, rng).amplitudes
+        got = [(p.x, p.z, p.phase) for p in stabilizer_group_of(amps, t).generators]
+        assert got == loop_stabilizer_generators(amps, n)
+
+
+def test_stabilizer_scan_tolerance_is_1e_minus_9():
+    # <Z> = cos(2 eps) = 1 - 2e-8: outside 1e-9 of +1, so only I stabilizes
+    eps = 1e-4
+    psi = np.array([np.cos(eps), np.sin(eps)], dtype=complex)
+    assert stabilizer_group_of(psi, 1).order == 1
+    with pytest.raises(ValidationError, match="found 1 stabilizing"):
+        stabilizer_group_of(psi, 0)
+
+
+@pytest.mark.parametrize("length", [0, 3, 6])
+def test_stabilizer_group_of_rejects_bad_lengths(length):
+    with pytest.raises(ValidationError, match="not a power of two"):
+        stabilizer_group_of(np.ones(length, dtype=complex), 0)
 
 
 def test_stabilizer_group_of_zero_state():
