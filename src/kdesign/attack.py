@@ -28,6 +28,7 @@ from .errors import InternalConsistencyError, ValidationError
 from .f2 import (
     BinVec,
     rref_basis,
+    solve,
     span_intersect,
     swap_halves,
     symplectic_complement,
@@ -61,34 +62,6 @@ def make_compressible(n: int, t: int, rng: np.random.Generator) -> StateVector:
     return StateVector(n, c @ full)
 
 
-def _solve_gf2(rows: list[int], rhs: list[int]) -> int:
-    """One solution x of the bit-mask system row . x = rhs (mod 2).
-
-    Gauss-Jordan; free variables are set to zero.
-    """
-    solved: list[tuple[int, int, int]] = []  # (pivot column, row, rhs bit)
-    for r, b in zip(rows, (v & 1 for v in rhs)):
-        for col, prow, pb in solved:
-            if (r >> col) & 1:
-                r ^= prow
-                b ^= pb
-        if r == 0:
-            if b:
-                raise InternalConsistencyError("inconsistent linear system")
-            continue
-        col = r.bit_length() - 1
-        solved = [
-            (c2, prow ^ r, pb ^ b) if (prow >> col) & 1 else (c2, prow, pb)
-            for c2, prow, pb in solved
-        ]
-        solved.append((col, r, b))
-    x = 0
-    for col, _, b in solved:
-        if b:
-            x |= 1 << col
-    return x
-
-
 def _conjugate_partners(gens: list[BinVec], nn: int) -> list[BinVec]:
     """h_i with <g_j, h_i> = delta_ij and <h_j, h_i> = 0 for j < i."""
     partners: list[BinVec] = []
@@ -98,7 +71,7 @@ def _conjugate_partners(gens: list[BinVec], nn: int) -> list[BinVec]:
         for h in partners:
             rows.append(swap_halves(h).bits)
             rhs.append(0)
-        partners.append(BinVec(nn, _solve_gf2(rows, rhs)))
+        partners.append(BinVec(nn, solve(rows, rhs, nn)))
     return partners
 
 
@@ -279,6 +252,8 @@ def distinguish(
     """Run the Bell-difference attack for `trials` fresh states."""
     if l < 1:
         raise ValidationError("need l >= 1 samples per trial")
+    if not 0.0 < epsilon_t <= 1.0:
+        raise ValidationError(f"need 0 < epsilon_t <= 1, got {epsilon_t}")
     if trials < 1:
         raise ValidationError("need trials >= 1")
     stats = tuple(
@@ -298,6 +273,19 @@ class AdvantageRow:
     advantage: float
     stderr: float
 
+    @classmethod
+    def from_reports(cls, src: AttackReport, ref: AttackReport) -> "AdvantageRow":
+        """Source minus reference mean, with the two stderrs in quadrature."""
+        return cls(
+            src.t,
+            src.l,
+            src.copies,
+            src.mean,
+            ref.mean,
+            src.mean - ref.mean,
+            float(np.hypot(src.stderr, ref.stderr)),
+        )
+
 
 def advantage_curve(
     source_t: list[int],
@@ -315,17 +303,7 @@ def advantage_curve(
         l = 3 * t + 2
         src = distinguish(CompressibleSource(n, t), l, epsilon_t, trials, rng, thresholded)
         ref = distinguish(CompressibleSource(n, n), l, epsilon_t, trials, rng, thresholded)
-        rows.append(
-            AdvantageRow(
-                t,
-                l,
-                4 * l + 2,
-                src.mean,
-                ref.mean,
-                src.mean - ref.mean,
-                math.hypot(src.stderr, ref.stderr),
-            )
-        )
+        rows.append(AdvantageRow.from_reports(src, ref))
     return rows
 
 

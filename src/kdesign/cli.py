@@ -4,11 +4,15 @@ Every subcommand writes its artifacts into an output directory plus a
 `.manifest.json` sibling recording version, seed, parameter tree, and wall
 time.  CSV artifacts are byte-stable for a fixed (subcommand, flags, seed);
 the manifest is not, because it records wall time.
+
+List-valued flags (`commutant --k/--n`, `decay --k`, `distinguish --t`) run
+the subcommand once per value, each run writing what it writes alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -43,6 +47,7 @@ from .moments import (
 
 OUTPUT_DIR_ENV = "KDESIGN_OUTPUT_DIR"
 MANIFEST_SCHEMA_VERSION = 1
+LIST_HELP = "a value, a range '1..5' or a list '1,3,5'; one run per value"
 
 
 def _resolve_out(explicit: str | None) -> str:
@@ -76,17 +81,30 @@ def _write_manifest(
     return path
 
 
-def _parse_t_range(text: str) -> list[int]:
+def _parse_list(flag: str, text: str) -> list[int]:
     """'1..5' -> [1,2,3,4,5]; '1,3,5' -> [1,3,5]; '3' -> [3]."""
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            return list(range(int(lo), int(hi) + 1))
-        return [int(part) for part in text.split(",")]
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(part) for part in text.split(",")]
     except ValueError:
+        values = []
+    if not values:
         raise ValidationError(
-            f"--t takes a range like 1..5 or a list like 1,3,5, got {text!r}"
-        ) from None
+            f"{flag} takes a range like 1..5 or a list like 1,3,5, got {text!r}"
+        )
+    return values
+
+
+def _for_each(body, args: argparse.Namespace, **values: list[int]) -> int:
+    """Run a single-value body once per combination of the listed values, in
+    order.  Each run re-seeds from --seed, so it writes the same bytes as the
+    run with that value alone."""
+    for combo in itertools.product(*values.values()):
+        body(argparse.Namespace(**{**vars(args), **dict(zip(values, combo))}))
+    return 0
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -106,9 +124,15 @@ def _ensemble_from_args(args: argparse.Namespace):
 
 
 def cmd_commutant(args: argparse.Namespace) -> int:
+    return _for_each(
+        _commutant, args, k=_parse_list("--k", args.k), n=_parse_list("--n", args.n)
+    )
+
+
+def _commutant(args: argparse.Namespace) -> None:
     started = time.monotonic()
-    out = _resolve_out(args.out)
     table = weingarten_table(args.k, args.n)
+    out = _resolve_out(args.out)
     stem = f"commutant_k{args.k}_n{args.n}"
     path = os.path.join(out, f"{stem}.json")
     export_weingarten_table(table, path)
@@ -125,7 +149,6 @@ def cmd_commutant(args: argparse.Namespace) -> int:
         f"commutant: k={args.k} n={args.n}, {len(table.monomials)} monomials, "
         f"pseudo_inverse={table.pseudo} -> {path}"
     )
-    return 0
 
 
 def cmd_frame_potential(args: argparse.Namespace) -> int:
@@ -159,18 +182,23 @@ def cmd_frame_potential(args: argparse.Namespace) -> int:
 
 
 def cmd_decay(args: argparse.Namespace) -> int:
+    ks = _parse_list("--k", args.k)
+    args.t = _parse_list("--t", args.t)  # one sweep over t per run
+    return _for_each(_decay, args, k=ks)
+
+
+def _decay(args: argparse.Namespace) -> None:
     started = time.monotonic()
-    ts = _parse_t_range(args.t)
-    rng = _rng(args.seed)
-    out = _resolve_out(args.out)
+    ts = args.t
     report = decay_experiment(
         args.n,
         args.k,
         ts,
         args.samples,
-        rng,
+        _rng(args.seed),
         exact_reference=not args.mc_reference,
     )
+    out = _resolve_out(args.out)
     stem = f"decay_n{args.n}_k{args.k}_seed{args.seed}"
     path = os.path.join(out, f"{stem}.csv")
     write_decay_csv(report, path, args.seed)
@@ -196,13 +224,15 @@ def cmd_decay(args: argparse.Namespace) -> int:
         f"monotone={monotone_above_floor(report)} "
         f"envelope={envelope_satisfied(report)} log2_slope={slope_text} -> {path}"
     )
-    return 0
 
 
 def cmd_distinguish(args: argparse.Namespace) -> int:
+    return _for_each(_distinguish, args, t=_parse_list("--t", args.t))
+
+
+def _distinguish(args: argparse.Namespace) -> None:
     started = time.monotonic()
     rng = _rng(args.seed)
-    out = _resolve_out(args.out)
     l = args.l if args.l is not None else 3 * args.t + 2
     source_report = distinguish(
         CompressibleSource(args.n, args.t),
@@ -220,15 +250,8 @@ def cmd_distinguish(args: argparse.Namespace) -> int:
         rng,
         thresholded=args.thresholded,
     )
-    row = AdvantageRow(
-        t=args.t,
-        l=l,
-        copies=4 * l + 2,
-        source_mean=source_report.mean,
-        haar_mean=haar_report.mean,
-        advantage=source_report.mean - haar_report.mean,
-        stderr=float(np.hypot(source_report.stderr, haar_report.stderr)),
-    )
+    row = AdvantageRow.from_reports(source_report, haar_report)
+    out = _resolve_out(args.out)
     stem = f"distinguish_n{args.n}_t{args.t}_seed{args.seed}"
     source_csv = os.path.join(out, f"{stem}_source.csv")
     haar_csv = os.path.join(out, f"{stem}_haar.csv")
@@ -264,7 +287,6 @@ def cmd_distinguish(args: argparse.Namespace) -> int:
         f"source={row.source_mean:.4f} haar={row.haar_mean:.4f} "
         f"advantage={row.advantage:.4f} +- {row.stderr:.4f} -> {summary_json}"
     )
-    return 0
 
 
 def cmd_twirl_check(args: argparse.Namespace) -> int:
@@ -353,8 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="Artifact: JSON archive with hex-exact gram/weingarten matrices "
         "and the monomial list.",
     )
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", required=True, help=LIST_HELP)
+    p.add_argument("--n", required=True, help=LIST_HELP)
     add_out(p)
     p.set_defaults(func=cmd_commutant)
 
@@ -378,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="CSV columns: t,distance,stderr,floor,samples,seed.",
     )
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", required=True, help=LIST_HELP)
     p.add_argument("--t", required=True, help="range '1..5' or list '1,3,5'")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -392,12 +414,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "distinguish",
-        help="Bell-difference distinguisher advantage at one t",
+        help="Bell-difference distinguisher advantage per t",
         epilog="CSV columns (per arm): trial,statistic. JSON: advantage row with "
         "means, stderr, l, copies.",
     )
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--t", required=True, help=LIST_HELP)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--l", type=int, help="measurement rounds (default 3t+2)")

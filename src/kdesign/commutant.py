@@ -221,23 +221,19 @@ def _alpha_from_sites(site_a: np.ndarray, site_b: np.ndarray, k: int) -> int:
     return int(_integer_exponent(tr.real, k, "alpha"))
 
 
-def alpha(a: PauliMonomial, b: PauliMonomial, n: int) -> int:
-    """Integer exponent with tr(A^dagger B) = d^(k - alpha); independent of n."""
+def alpha(a: PauliMonomial, b: PauliMonomial) -> int:
+    """Integer exponent with tr(A^dagger B) = d^(k - alpha) for every n."""
     if a.k != b.k:
         raise ValidationError("monomials must share the copy count")
-    if n < 1:
-        raise ValidationError("need n >= 1")
     return _alpha_from_sites(
         monomial_site_matrix(a).matrix, monomial_site_matrix(b).matrix, a.k
     )
 
 
-def trace_norm_exponent(mono: PauliMonomial, n: int = 1) -> int:
+def trace_norm_exponent(mono: PauliMonomial) -> int:
     """m_p with trace norm d^(k - m_p), from single-site singular values."""
     if mono.k > MAX_TABLE_COPIES:
         raise ValidationError(f"trace-norm exponent supports k <= {MAX_TABLE_COPIES}")
-    if n < 1:
-        raise ValidationError("need n >= 1")
     s = float(np.linalg.svd(monomial_site_matrix(mono).matrix, compute_uv=False).sum())
     return int(_integer_exponent(s, mono.k, "trace-norm exponent"))
 
@@ -337,13 +333,6 @@ def _full_stack(k: int, n: int) -> np.ndarray:
         out[i][np.ix_(idx, idx)] = full
     out.flags.writeable = False
     return out
-
-
-def monomial_full_matrix(mono: PauliMonomial, n: int) -> DenseOperator:
-    """The n-qubit, k-copy monomial operator in the copy-major layout."""
-    monos, _ = _site_stack(mono.k)
-    full = _full_stack(mono.k, n)
-    return DenseOperator(full.shape[1], full[monos.index(mono)])
 
 
 def _operand(o) -> np.ndarray:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import InternalConsistencyError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,6 @@ class BinMat:
     @property
     def nrows(self) -> int:
         return len(self.rows)
-
-    def row_vecs(self) -> list[BinVec]:
-        return [BinVec(self.ncols, r) for r in self.rows]
 
     @classmethod
     def from_vecs(cls, vecs: list[BinVec]) -> "BinMat":
@@ -163,27 +160,23 @@ def span_intersect(a: list[BinVec], b: list[BinVec]) -> list[BinVec]:
     for v in a + b:
         if v.n != n:
             raise ValidationError("mixed vector lengths")
-    # Rows [u | u] for u in a, [w | 0] for w in b; eliminate on the left block
-    # (low bits), rows whose left block died span the intersection on the right.
-    work = [u.bits | (u.bits << n) for u in a] + [w.bits for w in b]
-    head = 0
-    for col in range(n):
-        sel = None
-        for i in range(head, len(work)):
-            if (work[i] >> col) & 1:
-                sel = i
-                break
-        if sel is None:
-            continue
-        work[head], work[sel] = work[sel], work[head]
-        for i in range(len(work)):
-            if i != head and ((work[i] >> col) & 1):
-                work[i] ^= work[head]
-        head += 1
-    mask = (1 << n) - 1
-    tail = [r >> n for r in work[head:] if r >> n]
-    out, _ = _rref(tail, n)
-    return [BinVec(n, r) for r in out]
+    # Rows [u | u] for u in a, [w | 0] for w in b, in RREF over both blocks:
+    # the rows that pivot in the right block (high bits) span the intersection
+    # there, already in RREF.
+    rows, pivots = _rref([u.bits | (u.bits << n) for u in a] + [w.bits for w in b], 2 * n)
+    return [BinVec(n, r >> n) for r, p in zip(rows, pivots) if p >= n]
+
+
+def solve(rows: list[int], rhs: list[int], ncols: int) -> int:
+    """One x with popcount(row & x) = rhs bit (mod 2) for every row; free
+    variables are zero.  Raises on an inconsistent system."""
+    aug, pivots = _rref([r | ((b & 1) << ncols) for r, b in zip(rows, rhs)], ncols + 1)
+    if pivots and pivots[-1] == ncols:
+        raise InternalConsistencyError("inconsistent linear system")
+    x = 0
+    for r, p in zip(aug, pivots):
+        x |= ((r >> ncols) & 1) << p
+    return x
 
 
 def symplectic_product(u: BinVec, v: BinVec) -> int:

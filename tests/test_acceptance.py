@@ -201,7 +201,7 @@ def test_08_overlap_exponent_property_suite():
         a = np.zeros((nmon, nmon), dtype=int)
         for i in range(nmon):
             for j in range(nmon):
-                a[i, j] = alpha(monos[i], monos[j], 1)
+                a[i, j] = alpha(monos[i], monos[j])
         assert np.array_equal(a, a.T)
         for i in range(nmon):
             for j in range(nmon):

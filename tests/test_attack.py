@@ -11,7 +11,6 @@ from kdesign.attack import (
     AttackReport,
     CompressibleSource,
     _nontrivial_subspace,
-    _solve_gf2,
     advantage_curve,
     compress,
     distinguish,
@@ -31,19 +30,6 @@ from kdesign.dense import (
 from kdesign.errors import ValidationError
 from kdesign.f2 import BinVec, in_span
 from kdesign.pauli import clifford_to_matrix, stabilizer_group_of
-
-def test_solve_gf2_against_brute_force():
-    rng = np.random.default_rng(111)
-    width = 6
-    for _ in range(50):
-        nrows = int(rng.integers(1, 5))
-        rows = [int(rng.integers(1, 1 << width)) for _ in range(nrows)]
-        # build a consistent rhs from a planted solution
-        planted = int(rng.integers(0, 1 << width))
-        rhs = [(r & planted).bit_count() & 1 for r in rows]
-        x = _solve_gf2(rows, rhs)
-        for r, b in zip(rows, rhs):
-            assert (r & x).bit_count() & 1 == b
 
 
 def test_make_compressible_validation():
@@ -235,6 +221,9 @@ def test_distinguish_validation():
         distinguish(CompressibleSource(3, 0), 0, 0.5, 10, rng)
     with pytest.raises(ValidationError):
         distinguish(CompressibleSource(3, 0), 2, 0.5, 0, rng)
+    for eps in (0.0, -0.5, 2.0, float("nan")):
+        with pytest.raises(ValidationError):
+            distinguish(CompressibleSource(3, 0), 2, eps, 10, rng, thresholded=True)
 
 
 def test_fixed_state_source_draws_from_list():

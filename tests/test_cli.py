@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -154,17 +158,95 @@ def test_unknown_flag_is_usage_error():
 
 
 def test_t_range_parsing():
-    assert cli._parse_t_range("1..4") == [1, 2, 3, 4]
-    assert cli._parse_t_range("2,5,3") == [2, 5, 3]
-    assert cli._parse_t_range("3") == [3]
+    assert cli._parse_list("--t", "1..4") == [1, 2, 3, 4]
+    assert cli._parse_list("--t", "2,5,3") == [2, 5, 3]
+    assert cli._parse_list("--t", "3") == [3]
 
 
-@pytest.mark.parametrize("t", ["1..", "abc", "1,x"])
-def test_bad_t_range_exits_2(tmp_path, capsys, t):
-    argv = ["decay", "--n", "2", "--k", "1", "--t", t, "--samples", "20", "--seed", "1"]
+DECAY = ["decay", "--n", "2", "--samples", "20", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        pytest.param(DECAY + ["--k", "1", "--t", "1.."], "--t", id="1.."),
+        pytest.param(DECAY + ["--k", "1", "--t", "abc"], "--t", id="abc"),
+        pytest.param(DECAY + ["--k", "1", "--t", "1,x"], "--t", id="1,x"),
+        pytest.param(DECAY + ["--k", "1..", "--t", "1"], "--k", id="decay-k-1.."),
+        pytest.param(
+            ["distinguish", "--n", "3", "--t", "5..1", "--trials", "2", "--seed", "1"],
+            "--t",
+            id="distinguish-t-5..1",
+        ),
+        pytest.param(["commutant", "--k", "2", "--n", "x"], "--n", id="commutant-n-x"),
+    ],
+)
+def test_bad_t_range_exits_2(tmp_path, capsys, argv, flag):
     assert run(argv + ["--out", str(tmp_path)]) == 2
-    assert "--t takes a range" in capsys.readouterr().err
+    assert f"{flag} takes a range" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+# one list run against the single-value runs it stands for
+LIST_RUNS = {
+    "decay": (
+        ["decay", "--n", "2", "--t", "1..2", "--samples", "200", "--seed", "7"],
+        {"--k": ["1", "2"]},
+    ),
+    "distinguish": (
+        ["distinguish", "--n", "3", "--trials", "10", "--seed", "5"],
+        {"--t": ["0", "1", "3"]},
+    ),
+    "commutant": (["commutant"], {"--k": ["2", "3"], "--n": ["1", "2"]}),
+}
+
+
+def _outputs(out: Path) -> dict[str, object]:
+    """Artifact bytes, and manifests without their wall time."""
+    found = {}
+    for p in out.iterdir():
+        if p.name.endswith(".manifest.json"):
+            doc = json.loads(p.read_text())
+            doc.pop("wall_time_seconds")
+            found[p.name] = doc
+        else:
+            found[p.name] = p.read_bytes()
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(LIST_RUNS))
+def test_list_run_matches_single_value_runs(tmp_path, name):
+    base, lists = LIST_RUNS[name]
+    joined = [x for flag, values in lists.items() for x in (flag, ",".join(values))]
+    assert run(base + joined + ["--out", str(tmp_path / "list")]) == 0
+    combos = list(itertools.product(*lists.values()))
+    for combo in combos:
+        single = [x for flag, value in zip(lists, combo) for x in (flag, value)]
+        assert run(base + single + ["--out", str(tmp_path / "single")]) == 0
+    listed = _outputs(tmp_path / "list")
+    assert len(listed) >= 2 * len(combos)
+    assert listed == _outputs(tmp_path / "single")
+
+
+@pytest.mark.parametrize("eps", ["nan", "2", "0"])
+def test_distinguish_epsilon_out_of_range_exits_2(tmp_path, capsys, eps):
+    out = tmp_path / "out"
+    argv = ["distinguish", "--n", "3", "--t", "0", "--trials", "2", "--seed", "1"]
+    assert run(argv + ["--thresholded", "--epsilon-t", eps, "--out", str(out)]) == 2
+    assert "epsilon_t" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.M | re.S)
+    lines = [
+        line for block in blocks for line in block.splitlines() if line.startswith("kdesign ")
+    ]
+    assert len(lines) >= 6
+    parser = cli.build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])
 
 
 @pytest.mark.parametrize("inputs", ["0", "-3"])

@@ -15,6 +15,7 @@ from kdesign.commutant import (
     _alpha_from_sites,
     _alpha_table,
     _fraction_inverse,
+    _full_stack,
     _integer_exponent,
     _permutation_matrix,
     _site_matrices,
@@ -27,7 +28,6 @@ from kdesign.commutant import (
     haar_twirl,
     load_weingarten_table,
     monomial_count,
-    monomial_full_matrix,
     monomial_site_matrix,
     permutation_gram,
     trace_norm_exponent,
@@ -185,16 +185,16 @@ def test_alpha_basics():
     monos = enumerate_monomials(2)
     ident = next(m for m in monos if m.m == 0)
     sw = next(m for m in monos if m.m == 1)
-    assert alpha(ident, ident, 3) == 0
-    assert alpha(ident, sw, 3) == 1
+    assert alpha(ident, ident) == 0
+    assert alpha(ident, sw) == 1
     with pytest.raises(ValidationError):
-        alpha(ident, enumerate_monomials(3)[0], 2)
+        alpha(ident, enumerate_monomials(3)[0])
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_alpha_table_matches_pairwise_alpha(k):
     monos = enumerate_monomials(k)
-    want = np.array([[alpha(a, b, 1) for b in monos] for a in monos])
+    want = np.array([[alpha(a, b) for b in monos] for a in monos])
     table = _alpha_table(k)
     assert table.dtype == np.int64
     assert np.array_equal(table, want)
@@ -314,8 +314,7 @@ def random_operand(dim, rng):
 
 def test_clifford_twirl_fixes_monomials():
     for k, n in ((2, 1), (2, 2), (3, 2)):
-        for mono in enumerate_monomials(k):
-            full = monomial_full_matrix(mono, n).matrix
+        for full in _full_stack(k, n):
             out = clifford_twirl(full, k, n).matrix
             np.testing.assert_allclose(out, full, atol=1e-9)
 
@@ -421,7 +420,7 @@ def test_three_design_agreement_and_k4_gap():
 
 def test_cross_layout_swap_consistency():
     # the two-copy SWAP monomial on n=2 must equal T_(01) with d=4
-    full = monomial_full_matrix(swap_monomial(), 2).matrix
+    full = _full_stack(2, 2)[enumerate_monomials(2).index(swap_monomial())]
     np.testing.assert_allclose(full, _permutation_matrix((1, 0), 4), atol=1e-12)
 
 

@@ -9,8 +9,7 @@ import pytest
 
 from kdesign.commutant import (
     PermutationOp,
-    enumerate_monomials,
-    monomial_full_matrix,
+    _full_stack,
     permutation_gram,
     weingarten_table,
 )
@@ -260,7 +259,7 @@ def reference_exact_choi(spec, k: int) -> np.ndarray:
             w = np.linalg.inv(lam)
         norm = d**k
     else:
-        mats = [monomial_full_matrix(m, spec.n).matrix for m in enumerate_monomials(k)]
+        mats = _full_stack(k, spec.n)
         w = weingarten_table(k, spec.n).weingarten
         norm = (1 << spec.n) ** (2 * k)
     dim = mats[0].shape[0] ** 2

@@ -7,11 +7,12 @@ widths up to 10 are covered exhaustively via randomized matrices.
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kdesign.errors import ValidationError
+from kdesign.errors import InternalConsistencyError, ValidationError
 from kdesign.f2 import (
     BinMat,
     BinVec,
@@ -19,6 +20,7 @@ from kdesign.f2 import (
     nullspace,
     rank,
     rref_basis,
+    solve,
     span_intersect,
     swap_halves,
     symplectic_complement,
@@ -88,7 +90,7 @@ def test_rank_equals_transpose_rank(a: BinMat):
 @settings(max_examples=200, deadline=None)
 @given(random_matrix())
 def test_rref_basis_is_canonical(a: BinMat):
-    vecs = a.row_vecs()
+    vecs = [BinVec(a.ncols, r) for r in a.rows]
     basis = rref_basis(vecs, a.ncols)
     # same span
     assert naive_span(basis, a.ncols) == naive_span(vecs, a.ncols)
@@ -148,6 +150,30 @@ def test_span_intersect_empty_inputs():
 
 
 # ---------------------------------------------------------------- symplectic structure
+
+
+def test_solve_against_brute_force():
+    rng = random.Random(111)
+    width = 6
+    outcomes = set()
+    for _ in range(200):
+        rows = [rng.randrange(1, 1 << width) for _ in range(rng.randrange(1, 9))]
+        rhs = [rng.randrange(2) for _ in rows]
+
+        def solves(x):
+            return all((r & x).bit_count() % 2 == b for r, b in zip(rows, rhs))
+
+        consistent = any(solves(x) for x in range(1 << width))
+        outcomes.add(consistent)
+        if consistent:
+            assert solves(solve(rows, rhs, width))
+        else:
+            with pytest.raises(InternalConsistencyError):
+                solve(rows, rhs, width)
+    assert outcomes == {True, False}
+    # the three rows sum to zero, the right-hand sides to one
+    with pytest.raises(InternalConsistencyError):
+        solve([0b011, 0b101, 0b110], [1, 0, 0], 3)
 
 
 @settings(max_examples=300, deadline=None)
