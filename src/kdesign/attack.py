@@ -26,7 +26,6 @@ from .dense import (
 )
 from .errors import InternalConsistencyError, ValidationError
 from .f2 import (
-    BinVec,
     rref_basis,
     solve,
     span_intersect,
@@ -62,45 +61,40 @@ def make_compressible(n: int, t: int, rng: np.random.Generator) -> StateVector:
     return StateVector(n, c @ full)
 
 
-def _conjugate_partners(gens: list[BinVec], nn: int) -> list[BinVec]:
+def _conjugate_partners(gens: list[int], n: int) -> list[int]:
     """h_i with <g_j, h_i> = delta_ij and <h_j, h_i> = 0 for j < i."""
-    partners: list[BinVec] = []
+    partners: list[int] = []
     for i in range(len(gens)):
-        rows = [swap_halves(g).bits for g in gens]
-        rhs = [1 if j == i else 0 for j in range(len(gens))]
-        for h in partners:
-            rows.append(swap_halves(h).bits)
-            rhs.append(0)
-        partners.append(BinVec(nn, solve(rows, rhs, nn)))
+        rows = [swap_halves(g, n) for g in gens + partners]
+        rhs = [1 if j == i else 0 for j in range(len(gens))] + [0] * len(partners)
+        partners.append(solve(rows, rhs, 2 * n))
     return partners
 
 
-def _sweep(v: BinVec, a: BinVec, b: BinVec) -> BinVec:
+def _sweep(v: int, a: int, b: int, n: int) -> int:
     """Remove the (a, b) hyperbolic component: <a,b> = 1 assumed."""
-    if symplectic_product(b, v):
-        v = v ^ a
-    if symplectic_product(a, v):
-        v = v ^ b
+    if symplectic_product(b, v, n):
+        v ^= a
+    if symplectic_product(a, v, n):
+        v ^= b
     return v
 
 
-def _complete_symplectic_pairs(
-    taken: list[tuple[BinVec, BinVec]], nn: int
-) -> list[tuple[BinVec, BinVec]]:
+def _complete_symplectic_pairs(taken: list[tuple[int, int]], n: int) -> list[tuple[int, int]]:
     """Hyperbolic pairs spanning the symplectic complement of the taken pairs."""
-    pool = [BinVec(nn, 1 << j) for j in range(nn)]
+    pool = [1 << j for j in range(2 * n)]
     for a, b in taken:
-        pool = [_sweep(v, a, b) for v in pool]
+        pool = [_sweep(v, a, b, n) for v in pool]
     pairs = []
     while True:
-        basis = rref_basis([v for v in pool if not v.is_zero()])
+        basis = rref_basis([v for v in pool if v], 2 * n)
         if not basis:
             break
         a = basis[0]
-        b = next((v for v in basis[1:] if symplectic_product(a, v)), None)
+        b = next((v for v in basis[1:] if symplectic_product(a, v, n)), None)
         if b is None:
             raise InternalConsistencyError("degenerate leftover symplectic form")
-        pool = [_sweep(v, a, b) for v in basis if v != a and v != b]
+        pool = [_sweep(v, a, b, n) for v in basis if v != a and v != b]
         pairs.append((a, b))
     return pairs
 
@@ -118,30 +112,22 @@ def compress(psi: StateVector, group: StabilizerGroup) -> CliffordOp:
         if abs(expectation(psi, g) - 1.0) > 1e-8:
             raise ValidationError("generators must stabilize psi with +1 eigenvalue")
     m = len(gens)
-    nn = 2 * n
     if m == 0:
         return CliffordOp.identity(n)
     gvecs = [g.symplectic_vec for g in gens]
-    partners = _conjugate_partners(gvecs, nn)
-    free_pairs = _complete_symplectic_pairs(list(zip(gvecs, partners)), nn)
+    partners = _conjugate_partners(gvecs, n)
+    free_pairs = _complete_symplectic_pairs(list(zip(gvecs, partners)), n)
     if len(free_pairs) != n - m:
         raise InternalConsistencyError("symplectic completion has wrong rank")
 
-    x_images: list[PauliString] = [None] * n  # type: ignore[list-item]
-    z_images: list[PauliString] = [None] * n  # type: ignore[list-item]
-    for q, (a, b) in enumerate(free_pairs):
-        x_images[q] = PauliString.from_symplectic_vec(a)
-        z_images[q] = PauliString.from_symplectic_vec(b)
+    # D maps X_q, Z_q to the free pairs for q < n - m and to (partner_i, g_i)
+    # on wire q = n - m + i; the compression is its inverse.
+    xs = [a for a, _ in free_pairs] + partners
+    zs = [b for _, b in free_pairs] + gvecs
+    signs = sum((g.phase >> 1) << (2 * n - m + i) for i, g in enumerate(gens))
+    c = clifford_inverse(CliffordOp.from_tableau(n, (*xs, *zs, signs)))
     for i, g in enumerate(gens):
-        q = n - m + i
-        x_images[q] = PauliString.from_symplectic_vec(partners[i])
-        z_images[q] = g
-    d = CliffordOp(n, tuple(x_images), tuple(z_images))
-    c = clifford_inverse(d)
-    for i, g in enumerate(gens):
-        q = n - m + i
-        want = PauliString.from_symplectic_vec(BinVec(nn, 1 << (n + q)))
-        if clifford_conjugate(c, g) != want:
+        if clifford_conjugate(c, g) != PauliString(n, 0, 1 << (n - m + i)):
             raise InternalConsistencyError("compression does not map generators to +Z")
     return c
 
@@ -207,12 +193,12 @@ class AttackReport:
         return float(np.std(self.statistics, ddof=1) / math.sqrt(len(self.statistics)))
 
 
-def _nontrivial_subspace(vecs: list[BinVec]) -> list[BinVec]:
+def _nontrivial_subspace(vecs: list[int], n: int) -> list[int]:
     """Basis of S = span(X) with its symplectically self-orthogonal part."""
-    basis = rref_basis([v for v in vecs if not v.is_zero()])
+    basis = rref_basis([v for v in vecs if v], 2 * n)
     if not basis:
         return []
-    return span_intersect(basis, symplectic_complement(basis))
+    return span_intersect(basis, symplectic_complement(basis, n), 2 * n)
 
 
 def sample_attack_statistic(
@@ -226,15 +212,15 @@ def sample_attack_statistic(
     table = bell_difference_table(psi)
     flats = draw_from_table(table, rng, l)
     vecs = [flat_index_to_pauli(int(f), psi.n).symplectic_vec for f in flats]
-    s_basis = _nontrivial_subspace(vecs)
+    s_basis = _nontrivial_subspace(vecs, psi.n)
     if not s_basis:
         return 0.0
     pick = int(rng.integers(1, 1 << len(s_basis)))
-    acc = BinVec.zero(2 * psi.n)
+    acc = 0
     for j, b in enumerate(s_basis):
         if (pick >> j) & 1:
-            acc = acc ^ b
-    p = PauliString.from_symplectic_vec(acc)
+            acc ^= b
+    p = PauliString.from_symplectic_vec(acc, psi.n)
     stat = expectation(psi, p) ** 2
     if thresholded:
         return 1.0 if stat >= epsilon_t else 0.0

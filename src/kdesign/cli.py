@@ -6,7 +6,8 @@ time.  CSV artifacts are byte-stable for a fixed (subcommand, flags, seed);
 the manifest is not, because it records wall time.
 
 List-valued flags (`commutant --k/--n`, `decay --k`, `distinguish --t`) run
-the subcommand once per value, each run writing what it writes alone.
+the subcommand once per value, each run writing what it writes alone.  Every
+value is checked before the first run, so a bad value writes nothing.
 """
 
 from __future__ import annotations
@@ -29,13 +30,14 @@ from .attack import (
     write_trials_csv,
 )
 from .commutant import (
+    check_table_args,
     clifford_twirl,
     export_weingarten_table,
     haar_twirl,
     vandermonde_bound_check,
     weingarten_table,
 )
-from .ensembles import CliffordUniform, Haar, Homeopathy, frame_potential, to_config
+from .ensembles import CliffordUniform, Haar, Homeopathy, _choi_dims, frame_potential, to_config
 from .errors import InternalConsistencyError, ValidationError
 from .moments import (
     decay_experiment,
@@ -98,12 +100,19 @@ def _parse_list(flag: str, text: str) -> list[int]:
     return values
 
 
-def _for_each(body, args: argparse.Namespace, **values: list[int]) -> int:
+def _for_each(body, check, args: argparse.Namespace, **values: list[int]) -> int:
     """Run a single-value body once per combination of the listed values, in
-    order.  Each run re-seeds from --seed, so it writes the same bytes as the
-    run with that value alone."""
-    for combo in itertools.product(*values.values()):
-        body(argparse.Namespace(**{**vars(args), **dict(zip(values, combo))}))
+    order, after `check` has accepted every combination.  Each run re-seeds
+    from --seed, so it writes the same bytes as the run with that value
+    alone."""
+    runs = [
+        argparse.Namespace(**{**vars(args), **dict(zip(values, combo))})
+        for combo in itertools.product(*values.values())
+    ]
+    for run in runs:
+        check(run)
+    for run in runs:
+        body(run)
     return 0
 
 
@@ -124,9 +133,8 @@ def _ensemble_from_args(args: argparse.Namespace):
 
 
 def cmd_commutant(args: argparse.Namespace) -> int:
-    return _for_each(
-        _commutant, args, k=_parse_list("--k", args.k), n=_parse_list("--n", args.n)
-    )
+    ks, ns = _parse_list("--k", args.k), _parse_list("--n", args.n)
+    return _for_each(_commutant, lambda a: check_table_args(a.k, a.n), args, k=ks, n=ns)
 
 
 def _commutant(args: argparse.Namespace) -> None:
@@ -184,7 +192,7 @@ def cmd_frame_potential(args: argparse.Namespace) -> int:
 def cmd_decay(args: argparse.Namespace) -> int:
     ks = _parse_list("--k", args.k)
     args.t = _parse_list("--t", args.t)  # one sweep over t per run
-    return _for_each(_decay, args, k=ks)
+    return _for_each(_decay, lambda a: _choi_dims(Haar(a.n), a.k), args, k=ks)
 
 
 def _decay(args: argparse.Namespace) -> None:
@@ -227,7 +235,8 @@ def _decay(args: argparse.Namespace) -> None:
 
 
 def cmd_distinguish(args: argparse.Namespace) -> int:
-    return _for_each(_distinguish, args, t=_parse_list("--t", args.t))
+    ts = _parse_list("--t", args.t)
+    return _for_each(_distinguish, lambda a: CompressibleSource(a.n, a.t), args, t=ts)
 
 
 def _distinguish(args: argparse.Namespace) -> None:

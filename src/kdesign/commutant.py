@@ -25,7 +25,7 @@ import numpy as np
 
 from .dense import DenseOperator
 from .errors import InternalConsistencyError, ValidationError
-from .f2 import BinMat, BinVec, rank
+from .f2 import rank
 from .pauli import _pauli_action
 
 MAX_MONOMIAL_COPIES = 6
@@ -65,10 +65,8 @@ class PauliMonomial:
         for col in self.v_cols:
             if col & ~mask or col.bit_count() % 2:
                 raise ValidationError("columns must be k-bit masks of even weight")
-        if self.m > 0:
-            vecs = [BinVec(self.k, c) for c in self.v_cols]
-            if rank(BinMat.from_vecs(vecs)) != self.m:
-                raise ValidationError("columns must be linearly independent")
+        if rank(list(self.v_cols), self.k) != self.m:
+            raise ValidationError("columns must be linearly independent")
         for i, row in enumerate(self.m_upper):
             if row & ((1 << (i + 1)) - 1) or row >> self.m:
                 raise ValidationError("phase rows may only use strict upper positions")
@@ -267,12 +265,17 @@ def _alpha_table(k: int) -> np.ndarray:
     return out
 
 
-def gram_matrix(k: int, n: int) -> WeingartenTable:
-    """G[i,j] = d^(-alpha_ij) with d = 2^n; W left unset."""
+def check_table_args(k: int, n: int) -> None:
+    """ValidationError unless gram_matrix and weingarten_table accept (k, n)."""
     if not 1 <= k <= MAX_TABLE_COPIES:
         raise ValidationError(f"tables support 1 <= k <= {MAX_TABLE_COPIES}")
     if n < 1:
         raise ValidationError("need n >= 1")
+
+
+def gram_matrix(k: int, n: int) -> WeingartenTable:
+    """G[i,j] = d^(-alpha_ij) with d = 2^n; W left unset."""
+    check_table_args(k, n)
     monos, _ = _site_stack(k)
     g = np.power(2.0, -float(n) * _alpha_table(k))
     smin = float(np.linalg.svd(g, compute_uv=False).min())

@@ -1,8 +1,9 @@
-"""Linear algebra over F_2 with int-bitset rows.
+"""Linear algebra over F_2 on plain int bitsets.
 
-Vectors are little-endian bitsets: coordinate j lives at bit j of a Python int.
-Symplectic vectors of length 2n use the x-block-then-z-block layout: bits
-0..n-1 hold the x part, bits n..2n-1 the z part, and the form is
+A vector is a Python int, little-endian: coordinate j lives at bit j.  Every
+function takes the width explicitly, as ncols or, for symplectic vectors of
+length 2n, as n.  Symplectic vectors use the x-block-then-z-block layout:
+bits 0..n-1 hold the x part, bits n..2n-1 the z part, and the form is
 <u,v> = u_x.v_z + u_z.v_x (mod 2).
 
 Every subspace-returning operation emits the reduced-row-echelon basis of its
@@ -12,77 +13,7 @@ result is the empty list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import InternalConsistencyError, ValidationError
-
-
-@dataclass(frozen=True)
-class BinVec:
-    """Length-tagged bit vector over F_2."""
-
-    n: int
-    bits: int
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValidationError(f"BinVec length must be nonnegative, got {self.n}")
-        if self.bits < 0 or self.bits >> self.n:
-            raise ValidationError(f"bits 0x{self.bits:x} do not fit in {self.n} positions")
-
-    def __xor__(self, other: "BinVec") -> "BinVec":
-        if self.n != other.n:
-            raise ValidationError(f"length mismatch: {self.n} vs {other.n}")
-        return BinVec(self.n, self.bits ^ other.bits)
-
-    def bit(self, j: int) -> int:
-        return (self.bits >> j) & 1
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
-    @classmethod
-    def zero(cls, n: int) -> "BinVec":
-        return cls(n, 0)
-
-
-@dataclass(frozen=True)
-class BinMat:
-    """Row-major binary matrix; rows are int bitsets of width ncols."""
-
-    ncols: int
-    rows: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        for r in self.rows:
-            if r < 0 or r >> self.ncols:
-                raise ValidationError(f"row 0x{r:x} does not fit in {self.ncols} columns")
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @classmethod
-    def from_vecs(cls, vecs: list[BinVec]) -> "BinMat":
-        if not vecs:
-            raise ValidationError("cannot infer width from an empty vector list; use BinMat(n, ())")
-        n = vecs[0].n
-        for v in vecs:
-            if v.n != n:
-                raise ValidationError("mixed vector lengths in matrix")
-        return cls(n, tuple(v.bits for v in vecs))
-
-    def transpose(self) -> "BinMat":
-        cols = []
-        for j in range(self.ncols):
-            c = 0
-            for i, r in enumerate(self.rows):
-                c |= ((r >> j) & 1) << i
-            cols.append(c)
-        return BinMat(self.nrows, tuple(cols))
+from .errors import InternalConsistencyError
 
 
 def _rref(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
@@ -113,25 +44,20 @@ def _rref(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
     return work[:head], pivots
 
 
-def rref_basis(vecs: list[BinVec], n: int | None = None) -> list[BinVec]:
-    """Canonical (RREF) basis of the span of vecs."""
-    if not vecs:
-        return []
-    width = n if n is not None else vecs[0].n
-    rows, _ = _rref([v.bits for v in vecs], width)
-    return [BinVec(width, r) for r in rows]
+def rref_basis(rows: list[int], ncols: int) -> list[int]:
+    """Canonical (RREF) basis of the span of rows."""
+    return _rref(rows, ncols)[0]
 
 
-def rank(a: BinMat) -> int:
-    rows, _ = _rref(list(a.rows), a.ncols)
-    return len(rows)
+def rank(rows: list[int], ncols: int) -> int:
+    return len(_rref(rows, ncols)[0])
 
 
-def nullspace(a: BinMat) -> list[BinVec]:
-    """Canonical basis of {v : A v = 0}."""
-    rows, pivots = _rref(list(a.rows), a.ncols)
+def nullspace(rows: list[int], ncols: int) -> list[int]:
+    """Canonical basis of {v : popcount(row & v) even for every row}."""
+    rows, pivots = _rref(rows, ncols)
     pivot_set = set(pivots)
-    free_cols = [j for j in range(a.ncols) if j not in pivot_set]
+    free_cols = [j for j in range(ncols) if j not in pivot_set]
     basis = []
     for f in free_cols:
         v = 1 << f
@@ -139,32 +65,26 @@ def nullspace(a: BinMat) -> list[BinVec]:
             if (rows[i] >> f) & 1:
                 v |= 1 << p
         basis.append(v)
-    out, _ = _rref(basis, a.ncols)
-    return [BinVec(a.ncols, r) for r in out]
+    return rref_basis(basis, ncols)
 
 
-def in_span(v: BinVec, basis: list[BinVec]) -> bool:
-    rows, pivots = _rref([b.bits for b in basis], v.n)
-    r = v.bits
+def in_span(v: int, basis: list[int], ncols: int) -> bool:
+    rows, pivots = _rref(basis, ncols)
     for row, p in zip(rows, pivots):
-        if (r >> p) & 1:
-            r ^= row
-    return r == 0
+        if (v >> p) & 1:
+            v ^= row
+    return v == 0
 
 
-def span_intersect(a: list[BinVec], b: list[BinVec]) -> list[BinVec]:
+def span_intersect(a: list[int], b: list[int], ncols: int) -> list[int]:
     """Canonical basis of span(a) & span(b), by the Zassenhaus block trick."""
     if not a or not b:
         return []
-    n = a[0].n
-    for v in a + b:
-        if v.n != n:
-            raise ValidationError("mixed vector lengths")
     # Rows [u | u] for u in a, [w | 0] for w in b, in RREF over both blocks:
     # the rows that pivot in the right block (high bits) span the intersection
     # there, already in RREF.
-    rows, pivots = _rref([u.bits | (u.bits << n) for u in a] + [w.bits for w in b], 2 * n)
-    return [BinVec(n, r >> n) for r, p in zip(rows, pivots) if p >= n]
+    rows, pivots = _rref([u | (u << ncols) for u in a] + b, 2 * ncols)
+    return [r >> ncols for r, p in zip(rows, pivots) if p >= ncols]
 
 
 def solve(rows: list[int], rhs: list[int], ncols: int) -> int:
@@ -179,34 +99,15 @@ def solve(rows: list[int], rhs: list[int], ncols: int) -> int:
     return x
 
 
-def symplectic_product(u: BinVec, v: BinVec) -> int:
-    if u.n != v.n:
-        raise ValidationError(f"length mismatch: {u.n} vs {v.n}")
-    if u.n % 2:
-        raise ValidationError(f"symplectic vectors need even length, got {u.n}")
-    n = u.n // 2
-    mask = (1 << n) - 1
-    ux, uz = u.bits & mask, u.bits >> n
-    vx, vz = v.bits & mask, v.bits >> n
-    return ((ux & vz).bit_count() + (uz & vx).bit_count()) & 1
-
-
-def swap_halves(v: BinVec) -> BinVec:
+def swap_halves(v: int, n: int) -> int:
     """Apply the symplectic form matrix J: (x|z) -> (z|x)."""
-    if v.n % 2:
-        raise ValidationError(f"symplectic vectors need even length, got {v.n}")
-    n = v.n // 2
-    mask = (1 << n) - 1
-    return BinVec(v.n, (v.bits >> n) | ((v.bits & mask) << n))
+    return (v >> n) | ((v & ((1 << n) - 1)) << n)
 
 
-def symplectic_complement(x: list[BinVec]) -> list[BinVec]:
-    """Canonical basis of {v : <v, u> = 0 for all u in span(x)}.
+def symplectic_product(u: int, v: int, n: int) -> int:
+    return (u & swap_halves(v, n)).bit_count() & 1
 
-    For empty x the complement is all of F_2^(2n), which has no defined width
-    here, so empty input is rejected.
-    """
-    if not x:
-        raise ValidationError("symplectic_complement needs at least one vector to fix the width")
-    mat = BinMat.from_vecs([swap_halves(u) for u in x])
-    return nullspace(mat)
+
+def symplectic_complement(x: list[int], n: int) -> list[int]:
+    """Canonical basis of {v : <v, u> = 0 for all u in span(x)}."""
+    return nullspace([swap_halves(u, n) for u in x], 2 * n)

@@ -30,6 +30,11 @@ BOOTSTRAP_DRAWS = 20
 ENVELOPE_CONSTANT = 47.0
 
 
+def _above_floor(value: float, stderr: float, floor: float) -> bool:
+    """A distance is claimed only when it clears its null floor by 3 sigma."""
+    return value > floor + 3 * stderr
+
+
 @dataclass(frozen=True)
 class DistanceEstimate:
     value: float
@@ -39,7 +44,7 @@ class DistanceEstimate:
 
     @property
     def above_floor(self) -> bool:
-        return self.value > self.floor + 3 * self.stderr
+        return _above_floor(self.value, self.stderr, self.floor)
 
 
 @dataclass(frozen=True)
@@ -52,7 +57,7 @@ class DecayRow:
 
     @property
     def above_floor(self) -> bool:
-        return self.distance > self.floor + 3 * self.stderr
+        return _above_floor(self.distance, self.stderr, self.floor)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,11 @@ Conventions, used consistently everywhere downstream:
 - a PauliString(n, x, z, phase) is the operator i^phase * sigma(x, z), where
   sigma(x, z) := i^|x & z| X^x Z^z is the Hermitian representative
   (so sigma(1, 1) = Y on one qubit);
-- the symplectic bit vector of a Pauli is x | (z << n), matching the
-  x-block-then-z-block layout of kdesign.f2;
+- the symplectic bit vector of a Pauli is the int x | (z << n), matching
+  the x-block-then-z-block layout of kdesign.f2;
+- a Clifford is one validated object, CliffordOp, whose generator images
+  are PauliStrings; its array form, the tableau, is a tuple of 2n + 1 ints
+  (the image bit vectors, then the sign bits);
 - CliffordOps are phase-quotiented: only the +/- signs on generator images
   are tracked, never a global phase.
 """
@@ -22,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InternalConsistencyError, ValidationError
-from .f2 import BinMat, BinVec, rref_basis, symplectic_product
+from .f2 import rref_basis, symplectic_product
 
 
 @dataclass(frozen=True)
@@ -67,16 +70,12 @@ class PauliString:
         return "".join(out)
 
     @property
-    def symplectic_vec(self) -> BinVec:
-        return BinVec(2 * self.n, self.x | (self.z << self.n))
+    def symplectic_vec(self) -> int:
+        return self.x | (self.z << self.n)
 
     @classmethod
-    def from_symplectic_vec(cls, v: BinVec, phase: int = 0) -> "PauliString":
-        if v.n % 2:
-            raise ValidationError("symplectic vector must have even length")
-        n = v.n // 2
-        mask = (1 << n) - 1
-        return cls(n, v.bits & mask, v.bits >> n, phase)
+    def from_symplectic_vec(cls, v: int, n: int, phase: int = 0) -> "PauliString":
+        return cls(n, v & ((1 << n) - 1), v >> n, phase)
 
     def is_hermitian(self) -> bool:
         return self.phase % 2 == 0
@@ -110,7 +109,9 @@ def pauli_mul(p: PauliString, q: PauliString) -> PauliString:
 
 def chi(p: PauliString, q: PauliString) -> int:
     """+1 when the Paulis commute, -1 when they anticommute."""
-    return 1 if symplectic_product(p.symplectic_vec, q.symplectic_vec) == 0 else -1
+    if p.n != q.n:
+        raise ValidationError(f"qubit count mismatch: {p.n} vs {q.n}")
+    return 1 if symplectic_product(p.symplectic_vec, q.symplectic_vec, p.n) == 0 else -1
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +204,6 @@ class CliffordOp:
         ]
         return cls(n, tuple(imgs[:n]), tuple(imgs[n:]))
 
-    @classmethod
-    def from_symplectic(cls, s: BinMat, signs: BinVec) -> "CliffordOp":
-        """Column j of s is the image bit vector of generator j (X_1..X_n, Z_1..Z_n)."""
-        nn = s.ncols
-        if nn % 2 or s.nrows != nn or signs.n != nn:
-            raise ValidationError("symplectic matrix must be 2n x 2n with a 2n sign vector")
-        return cls.from_tableau(nn // 2, (*s.transpose().rows, signs.bits))
-
     @property
     def tableau(self) -> tuple[int, ...]:
         """The array form: images of X_1..X_n, Z_1..Z_n as x | z << n bit
@@ -218,18 +211,6 @@ class CliffordOp:
         gens = self.x_images + self.z_images
         signs = sum((g.phase >> 1) << j for j, g in enumerate(gens))
         return (*(g.x | (g.z << self.n) for g in gens), signs)
-
-    @property
-    def symplectic(self) -> BinMat:
-        """2n x 2n matrix whose column j is the image of generator j."""
-        return BinMat(2 * self.n, self.tableau[:-1]).transpose()
-
-    def key(self) -> tuple:
-        """Hashable identity of the phase-quotiented operator."""
-        return (
-            self.n,
-            tuple((g.x, g.z, g.phase) for g in self.x_images + self.z_images),
-        )
 
 
 def clifford_conjugate(c: CliffordOp, p: PauliString) -> PauliString:
@@ -259,39 +240,25 @@ def clifford_compose(c2: CliffordOp, c1: CliffordOp) -> CliffordOp:
 
 
 def clifford_inverse(c: CliffordOp) -> CliffordOp:
-    """Tableau inverse: symplectic part J S^T J, signs fixed by round-tripping."""
-    n = c.n
-    nn = 2 * n
-    s = c.symplectic
+    """Tableau inverse: symplectic part J S^T J, signs fixed by round-tripping.
 
-    # J S^T J in the x|z block layout swaps the n-row/column halves.
-    st = s.transpose()
-
-    def swapped(i: int) -> int:
-        return (i + n) % nn
-
-    rows = []
-    for i in range(nn):
-        src = st.rows[swapped(i)]
-        r = 0
-        for j in range(nn):
-            r |= ((src >> swapped(j)) & 1) << j
-        rows.append(r)
-    s_inv = BinMat(nn, tuple(rows))
-
-    inv0 = CliffordOp.from_symplectic(s_inv, BinVec.zero(nn))
-    # Adjust each image sign so that C(C^-1 g C) C^dagger == g exactly.
-    gens = [PauliString(n, 1 << j, 0, 0) for j in range(n)] + [
-        PauliString(n, 0, 1 << j, 0) for j in range(n)
+    With ' swapping the x and z halves, bit i of inverse image j is bit j' of
+    image i'.
+    """
+    n, nn = c.n, 2 * c.n
+    tab = c.tableau
+    images = [
+        sum(((tab[(i + n) % nn] >> ((j + n) % nn)) & 1) << i for i in range(nn))
+        for j in range(nn)
     ]
-    imgs = list(inv0.x_images + inv0.z_images)
-    for j, g in enumerate(gens):
-        back = clifford_conjugate(c, imgs[j])
-        if (back.x, back.z) != (g.x, g.z):
+    # Set each image sign so that C(C^-1 g C) C^dagger == g exactly.
+    signs = 0
+    for j, img in enumerate(images):
+        back = clifford_conjugate(c, PauliString.from_symplectic_vec(img, n))
+        if back.symplectic_vec != 1 << j:
             raise InternalConsistencyError("symplectic inverse failed to round-trip")
-        if back.phase != g.phase:
-            imgs[j] = imgs[j].negate()
-    return CliffordOp(n, tuple(imgs[:n]), tuple(imgs[n:]))
+        signs |= (back.phase >> 1) << j
+    return CliffordOp.from_tableau(n, (*images, signs))
 
 
 # ---------------------------------------------------------------------------
@@ -418,42 +385,31 @@ def random_clifford(n: int, rng: np.random.Generator) -> CliffordOp:
 
 
 @lru_cache(maxsize=None)
-def enumerate_symplectics(n: int) -> tuple[BinMat, ...]:
-    """All of Sp(2n, F_2) by brute scan; n <= 2 only."""
+def enumerate_symplectics(n: int) -> tuple[tuple[int, ...], ...]:
+    """All of Sp(2n, F_2) by brute scan, each as its 2n image bit vectors;
+    n <= 2 only."""
     if n > 2:
         raise ValidationError("exhaustive symplectic enumeration is limited to n <= 2")
     nn = 2 * n
-    j_rows = [((1 << ((i + n) % nn))) for i in range(nn)]
     out = []
     for bits in range(1 << (nn * nn)):
-        cols = [(bits >> (nn * j)) & ((1 << nn) - 1) for j in range(nn)]
-        ok = True
-        for a in range(nn):
-            for b in range(a, nn):
-                want = 1 if b == a + n else 0
-                va = BinVec(nn, cols[a])
-                vb = BinVec(nn, cols[b])
-                if symplectic_product(va, vb) != want:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            rows = [0] * nn
-            for i in range(nn):
-                for j in range(nn):
-                    rows[i] |= ((cols[j] >> i) & 1) << j
-            out.append(BinMat(nn, tuple(rows)))
+        cols = tuple((bits >> (nn * j)) & ((1 << nn) - 1) for j in range(nn))
+        if all(
+            symplectic_product(cols[a], cols[b], n) == (b == a + n)
+            for a in range(nn)
+            for b in range(a, nn)
+        ):
+            out.append(cols)
     return tuple(out)
 
 
 def enumerate_cliffords(n: int) -> list[CliffordOp]:
     """The full phase-quotiented Clifford group; n <= 2 (24 and 11520 elements)."""
-    out = []
-    for s in enumerate_symplectics(n):
-        for sgn in range(1 << (2 * n)):
-            out.append(CliffordOp.from_symplectic(s, BinVec(2 * n, sgn)))
-    return out
+    return [
+        CliffordOp.from_tableau(n, (*s, sgn))
+        for s in enumerate_symplectics(n)
+        for sgn in range(1 << (2 * n))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -572,9 +528,6 @@ class StabilizerGroup:
                     acc = pauli_mul(acc, self.generators[j])
             yield acc
 
-    def bit_vectors(self) -> list[BinVec]:
-        return [g.symplectic_vec for g in self.generators]
-
 
 def _fwht(v: np.ndarray) -> np.ndarray:
     """Walsh-Hadamard transform of the last axis, unnormalized; its length
@@ -653,13 +606,13 @@ def stabilizer_group_of(psi, t: int) -> StabilizerGroup:
             f"found {len(xs)} stabilizing Paulis, expected {expected} for t={t}"
         )
     vecs = sorted((xs | (zs << n)).tolist())
-    basis = rref_basis([BinVec(2 * n, v) for v in vecs if v], 2 * n)
+    basis = rref_basis([v for v in vecs if v], 2 * n)
     # a subset of its own span is the span (hence a group) iff the sizes agree
     if (1 << len(basis)) != len(vecs):
         raise ValidationError("stabilizing Paulis are not closed under products")
     gens = []
     for v in basis:
-        p = PauliString.from_symplectic_vec(v)
+        p = PauliString.from_symplectic_vec(v, n)
         e = exps[p.x, p.z]
         gens.append(p if e > 0 else p.negate())
     return StabilizerGroup(n, t, tuple(gens))

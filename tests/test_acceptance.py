@@ -181,7 +181,7 @@ def test_07_commutation_frequency_identities():
         idx = draw_from_table(table, rng, 10000)
         commuting = sum(
             symplectic_product(
-                flat_index_to_pauli(int(f), 3).symplectic_vec, fixed.symplectic_vec
+                flat_index_to_pauli(int(f), 3).symplectic_vec, fixed.symplectic_vec, 3
             )
             == 0
             for f in idx

@@ -28,7 +28,7 @@ from kdesign.dense import (
     haar_state,
 )
 from kdesign.errors import ValidationError
-from kdesign.f2 import BinVec, in_span
+from kdesign.f2 import in_span
 from kdesign.pauli import clifford_to_matrix, stabilizer_group_of
 
 
@@ -83,6 +83,21 @@ def test_compress_pins_trailing_qubits(n, t):
     np.testing.assert_allclose(exps_ok, 1.0, atol=1e-9)
 
 
+# compress(...).tableau of make_compressible(6, t, default_rng(60 + t)),
+# recorded from the symplectic-matrix implementation it replaces.
+COMPRESSIONS_N6 = {
+    0: (32, 6, 39, 21, 60, 13, 2497, 1730, 1604, 904, 1925, 1424, 192),
+    1: (50, 38, 16, 44, 22, 70, 962, 2500, 3337, 528, 2721, 83, 448),
+    2: (1, 32, 4, 60, 20, 148, 64, 2564, 1416, 516, 1538, 146, 1664),
+}
+
+
+@pytest.mark.parametrize("t", sorted(COMPRESSIONS_N6))
+def test_compressions_are_pinned(t):
+    psi = make_compressible(6, t, np.random.default_rng(60 + t))
+    assert compress(psi, stabilizer_group_of(psi, t)).tableau == COMPRESSIONS_N6[t]
+
+
 def test_compress_trivial_group_is_identity():
     rng = np.random.default_rng(149)
     psi = make_compressible(3, 3, rng)
@@ -121,11 +136,11 @@ def test_samples_lie_in_stabilizer_support():
     rng = np.random.default_rng(163)
     psi = make_compressible(4, 0, rng)
     group = stabilizer_group_of(psi, 0)
-    basis = group.bit_vectors()
+    basis = [g.symplectic_vec for g in group.generators]
     table = bell_difference_table(psi)
     for f in draw_from_table(table, rng, 50):
         v = flat_index_to_pauli(int(f), 4).symplectic_vec
-        assert in_span(v, basis)
+        assert in_span(v, basis, 8)
 
 
 def test_product_state_factors_independent():
@@ -184,7 +199,7 @@ def test_haar_s_trivial_at_large_l():
             flat_index_to_pauli(int(f), 3).symplectic_vec
             for f in draw_from_table(table, rng, 20)
         ]
-        if not _nontrivial_subspace(vecs):
+        if not _nontrivial_subspace(vecs, 3):
             trivial += 1
     assert trivial >= 47
 
@@ -202,7 +217,7 @@ def test_nontriviality_rate_bound():
             flat_index_to_pauli(int(f), n).symplectic_vec
             for f in draw_from_table(table, rng, l)
         ]
-        if _nontrivial_subspace(vecs):
+        if _nontrivial_subspace(vecs, n):
             hits += 1
     rate = hits / trials
     sigma = np.sqrt(max(rate * (1 - rate), 0.25 / trials) / trials)

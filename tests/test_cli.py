@@ -295,3 +295,26 @@ def test_negative_seed_exits_2_before_writing(tmp_path, capsys, argv):
     assert run(argv + ["--seed", "-1", "--out", str(out)]) == 2
     assert "--seed must be nonnegative" in capsys.readouterr().err
     assert not out.exists()
+
+
+# list runs whose bad value comes after a good one, including a bad (k, n) pair
+BAD_LATER_VALUE = {
+    "commutant-k": ["commutant", "--k", "2,9", "--n", "1"],
+    "commutant-n": ["commutant", "--k", "2,3", "--n", "1,0"],
+    "decay-k": ["decay", "--n", "5", "--k", "1,2", "--t", "1", "--samples", "20", "--seed", "1"],
+    "distinguish-t": ["distinguish", "--n", "3", "--t", "0,4", "--trials", "2", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_LATER_VALUE))
+def test_bad_later_value_exits_2_before_any_run(tmp_path, monkeypatch, capsys, name):
+    argv = BAD_LATER_VALUE[name]
+
+    def never(args):
+        raise AssertionError("a run started before every listed value was checked")
+
+    monkeypatch.setattr(cli, f"_{argv[0]}", never)
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()

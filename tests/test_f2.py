@@ -12,10 +12,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kdesign.errors import InternalConsistencyError, ValidationError
+from kdesign.errors import InternalConsistencyError
 from kdesign.f2 import (
-    BinMat,
-    BinVec,
     in_span,
     nullspace,
     rank,
@@ -31,17 +29,20 @@ from kdesign.f2 import (
 # ---------------------------------------------------------------- oracles
 
 
-def naive_span(vecs: list[BinVec], n: int) -> set[int]:
+def naive_span(vecs: list[int]) -> set[int]:
     """All 2^dim elements of the span, by closing under XOR."""
     out = {0}
     for v in vecs:
-        out |= {w ^ v.bits for w in out}
+        out |= {w ^ v for w in out}
     return out
 
 
-def naive_rank(rows: list[int], n: int) -> int:
-    span = naive_span([BinVec(n, r) for r in rows], n)
-    return len(span).bit_length() - 1
+def naive_rank(rows: list[int]) -> int:
+    return len(naive_span(rows)).bit_length() - 1
+
+
+def transpose(rows: list[int], ncols: int) -> list[int]:
+    return [sum(((r >> j) & 1) << i for i, r in enumerate(rows)) for j in range(ncols)]
 
 
 def naive_nullspace(rows: list[int], n: int) -> set[int]:
@@ -68,8 +69,8 @@ widths = st.integers(min_value=1, max_value=10)
 def random_matrix(draw):
     n = draw(widths)
     nrows = draw(st.integers(min_value=0, max_value=n + 2))
-    rows = tuple(draw(st.integers(min_value=0, max_value=(1 << n) - 1)) for _ in range(nrows))
-    return BinMat(n, rows)
+    rows = [draw(st.integers(min_value=0, max_value=(1 << n) - 1)) for _ in range(nrows)]
+    return rows, n
 
 
 # ---------------------------------------------------------------- rank / rref
@@ -77,56 +78,57 @@ def random_matrix(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(random_matrix())
-def test_rank_matches_span_size(a: BinMat):
-    assert rank(a) == naive_rank(list(a.rows), a.ncols)
+def test_rank_matches_span_size(a):
+    assert rank(*a) == naive_rank(a[0])
 
 
 @settings(max_examples=200, deadline=None)
 @given(random_matrix())
-def test_rank_equals_transpose_rank(a: BinMat):
-    assert rank(a) == rank(a.transpose())
+def test_rank_equals_transpose_rank(a):
+    rows, ncols = a
+    assert rank(rows, ncols) == rank(transpose(rows, ncols), len(rows))
 
 
 @settings(max_examples=200, deadline=None)
 @given(random_matrix())
-def test_rref_basis_is_canonical(a: BinMat):
-    vecs = [BinVec(a.ncols, r) for r in a.rows]
-    basis = rref_basis(vecs, a.ncols)
+def test_rref_basis_is_canonical(a):
+    vecs, ncols = a
+    basis = rref_basis(vecs, ncols)
     # same span
-    assert naive_span(basis, a.ncols) == naive_span(vecs, a.ncols)
+    assert naive_span(basis) == naive_span(vecs)
     # canonical: re-running on a shuffled spanning set gives identical data
-    again = rref_basis(list(reversed(vecs)) + basis, a.ncols)
+    again = rref_basis(list(reversed(vecs)) + basis, ncols)
     assert again == basis
     # echelon with unit pivot columns
     seen_pivots = []
-    for v in basis:
-        p = (v.bits & -v.bits).bit_length() - 1
+    for i, v in enumerate(basis):
+        p = (v & -v).bit_length() - 1
         assert all(p > q for q in seen_pivots) or not seen_pivots or p > max(seen_pivots)
         seen_pivots.append(p)
-        for w in basis:
-            if w is not v:
-                assert w.bit(p) == 0
+        for j, w in enumerate(basis):
+            if j != i:
+                assert (w >> p) & 1 == 0
 
 
 @settings(max_examples=200, deadline=None)
 @given(random_matrix())
-def test_rank_nullity(a: BinMat):
-    ns = nullspace(a)
-    assert rank(a) + len(ns) == a.ncols
+def test_rank_nullity(a):
+    rows, ncols = a
+    ns = nullspace(rows, ncols)
+    assert rank(rows, ncols) + len(ns) == ncols
     for v in ns:
-        assert all((r & v.bits).bit_count() % 2 == 0 for r in a.rows)
+        assert all((r & v).bit_count() % 2 == 0 for r in rows)
 
 
 @settings(max_examples=200, deadline=None)
 @given(random_matrix())
-def test_nullspace_matches_enumeration(a: BinMat):
-    ns = nullspace(a)
-    assert naive_span(ns, a.ncols) == naive_nullspace(list(a.rows), a.ncols)
+def test_nullspace_matches_enumeration(a):
+    rows, ncols = a
+    assert naive_span(nullspace(rows, ncols)) == naive_nullspace(rows, ncols)
 
 
 def test_nullspace_zero_dimensional_is_empty():
-    a = BinMat(2, (0b01, 0b10))
-    assert nullspace(a) == []
+    assert nullspace([0b01, 0b10], 2) == []
 
 
 # ---------------------------------------------------------------- span intersection
@@ -136,17 +138,17 @@ def test_nullspace_zero_dimensional_is_empty():
 @given(st.data())
 def test_span_intersect_matches_enumeration(data):
     n = data.draw(widths)
-    va = [BinVec(n, data.draw(st.integers(0, (1 << n) - 1))) for _ in range(data.draw(st.integers(1, 4)))]
-    vb = [BinVec(n, data.draw(st.integers(0, (1 << n) - 1))) for _ in range(data.draw(st.integers(1, 4)))]
-    got = span_intersect(va, vb)
-    expect = naive_span(va, n) & naive_span(vb, n)
-    assert naive_span(got, n) == expect
+    va = [data.draw(st.integers(0, (1 << n) - 1)) for _ in range(data.draw(st.integers(1, 4)))]
+    vb = [data.draw(st.integers(0, (1 << n) - 1)) for _ in range(data.draw(st.integers(1, 4)))]
+    got = span_intersect(va, vb, n)
+    expect = naive_span(va) & naive_span(vb)
+    assert naive_span(got) == expect
     # symmetric and canonical
-    assert span_intersect(vb, va) == got
+    assert span_intersect(vb, va, n) == got
 
 
 def test_span_intersect_empty_inputs():
-    assert span_intersect([], [BinVec(3, 5)]) == []
+    assert span_intersect([], [5], 3) == []
 
 
 # ---------------------------------------------------------------- symplectic structure
@@ -181,20 +183,15 @@ def test_solve_against_brute_force():
 def test_symplectic_product_properties(data):
     half = data.draw(st.integers(1, 5))
     n = 2 * half
-    u = BinVec(n, data.draw(st.integers(0, (1 << n) - 1)))
-    v = BinVec(n, data.draw(st.integers(0, (1 << n) - 1)))
-    w = BinVec(n, data.draw(st.integers(0, (1 << n) - 1)))
-    assert symplectic_product(u, v) == naive_symplectic_product(u.bits, v.bits, half)
+    u, v, w = (data.draw(st.integers(0, (1 << n) - 1)) for _ in range(3))
+    assert symplectic_product(u, v, half) == naive_symplectic_product(u, v, half)
     # alternating and symmetric over F_2
-    assert symplectic_product(u, u) == 0
-    assert symplectic_product(u, v) == symplectic_product(v, u)
+    assert symplectic_product(u, u, half) == 0
+    assert symplectic_product(u, v, half) == symplectic_product(v, u, half)
     # bilinear
-    assert symplectic_product(u ^ v, w) == (symplectic_product(u, w) ^ symplectic_product(v, w))
-
-
-def test_symplectic_product_rejects_odd_length():
-    with pytest.raises(ValidationError):
-        symplectic_product(BinVec(3, 1), BinVec(3, 2))
+    assert symplectic_product(u ^ v, w, half) == (
+        symplectic_product(u, w, half) ^ symplectic_product(v, w, half)
+    )
 
 
 @settings(max_examples=150, deadline=None)
@@ -202,16 +199,16 @@ def test_symplectic_product_rejects_odd_length():
 def test_symplectic_complement_matches_enumeration(data):
     half = data.draw(st.integers(1, 5))
     n = 2 * half
-    x = [BinVec(n, data.draw(st.integers(0, (1 << n) - 1))) for _ in range(data.draw(st.integers(1, 4)))]
-    got = symplectic_complement(x)
+    x = [data.draw(st.integers(0, (1 << n) - 1)) for _ in range(data.draw(st.integers(1, 4)))]
+    got = symplectic_complement(x, half)
     expect = {
         v
         for v in range(1 << n)
-        if all(naive_symplectic_product(v, u.bits, half) == 0 for u in x)
+        if all(naive_symplectic_product(v, u, half) == 0 for u in x)
     }
-    assert naive_span(got, n) == expect
+    assert naive_span(got) == expect
     # dimension law: dim X^perp = 2n - rank(X)
-    assert len(got) == n - rank(BinMat.from_vecs(x))
+    assert len(got) == n - rank(x, n)
 
 
 @settings(max_examples=100, deadline=None)
@@ -219,15 +216,15 @@ def test_symplectic_complement_matches_enumeration(data):
 def test_symplectic_double_complement_is_span(data):
     half = data.draw(st.integers(1, 4))
     n = 2 * half
-    x = [BinVec(n, data.draw(st.integers(1, (1 << n) - 1))) for _ in range(data.draw(st.integers(1, 3)))]
-    comp = symplectic_complement(x)
+    x = [data.draw(st.integers(1, (1 << n) - 1)) for _ in range(data.draw(st.integers(1, 3)))]
+    comp = symplectic_complement(x, half)
     if comp:
-        assert symplectic_complement(comp) == rref_basis(x, n)
+        assert symplectic_complement(comp, half) == rref_basis(x, n)
 
 
 def test_swap_halves():
-    v = BinVec(4, 0b0110)  # x = 10, z = 01
-    assert swap_halves(v) == BinVec(4, 0b1001)
+    # x = 10, z = 01
+    assert swap_halves(0b0110, 2) == 0b1001
 
 
 # ---------------------------------------------------------------- exhaustive tiny cases
@@ -237,12 +234,11 @@ def test_exhaustive_width_two():
     # every matrix with up to 3 rows over F_2^2
     for nrows in range(4):
         for rows in itertools.product(range(4), repeat=nrows):
-            a = BinMat(2, rows)
-            assert rank(a) == naive_rank(list(rows), 2)
-            assert naive_span(nullspace(a), 2) == naive_nullspace(list(rows), 2)
+            assert rank(list(rows), 2) == naive_rank(list(rows))
+            assert naive_span(nullspace(list(rows), 2)) == naive_nullspace(list(rows), 2)
 
 
 def test_in_span():
-    basis = [BinVec(4, 0b0011), BinVec(4, 0b0101)]
-    assert in_span(BinVec(4, 0b0110), basis)
-    assert not in_span(BinVec(4, 0b1000), basis)
+    basis = [0b0011, 0b0101]
+    assert in_span(0b0110, basis, 4)
+    assert not in_span(0b1000, basis, 4)

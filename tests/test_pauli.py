@@ -12,7 +12,7 @@ from scipy import stats
 
 from kdesign.attack import make_compressible
 from kdesign.errors import ValidationError
-from kdesign.f2 import BinVec, rref_basis, symplectic_product
+from kdesign.f2 import rref_basis, symplectic_product
 from kdesign.pauli import (
     CliffordOp,
     PauliString,
@@ -122,7 +122,7 @@ def test_validation():
     with pytest.raises(ValidationError):
         PauliString(0, 0, 0)
     with pytest.raises(ValidationError):
-        PauliString.from_symplectic_vec(BinVec(3, 0))
+        PauliString.from_symplectic_vec(1 << 6, 3)
     with pytest.raises(ValidationError):
         PauliString(1, 0, 0, 1).sign()
 
@@ -252,14 +252,19 @@ def embed_op(c1: CliffordOp, qubit: int) -> CliffordOp:
     return CliffordOp(n, tuple(xs), tuple(zs))
 
 
+def assert_inverts(c: CliffordOp) -> None:
+    cinv = clifford_inverse(c)
+    identity = CliffordOp.identity(c.n)
+    assert clifford_compose(c, cinv) == clifford_compose(cinv, c) == identity
+
+
 def test_inverse():
     rng = np.random.default_rng(5)
     for n in (1, 2, 3, 4):
         for _ in range(5):
-            c = random_clifford(n, rng)
-            cinv = clifford_inverse(c)
-            assert clifford_compose(c, cinv).key() == CliffordOp.identity(n).key()
-            assert clifford_compose(cinv, c).key() == CliffordOp.identity(n).key()
+            assert_inverts(random_clifford(n, rng))
+    for c in enumerate_cliffords(1):
+        assert_inverts(c)
 
 
 def test_bad_tableau_rejected():
@@ -271,7 +276,7 @@ def test_bad_tableau_rejected():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_one_flipped_image_bit_is_rejected_unless_still_symplectic(n):
     """Every single-bit flip of an image: CliffordOp accepts exactly the
-    tableaus whose images pass the pairwise BinVec symplectic check."""
+    tableaus whose images pass the pairwise f2 symplectic check."""
     rng = np.random.default_rng(40 + n)
     nn = 2 * n
     rejected = 0
@@ -281,9 +286,8 @@ def test_one_flipped_image_bit_is_rejected_unless_still_symplectic(n):
             for i in range(nn):
                 bad = list(tab)
                 bad[j] ^= 1 << i
-                vecs = [BinVec(nn, v) for v in bad[:-1]]
                 symplectic = all(
-                    symplectic_product(vecs[a], vecs[b]) == (b == a + n)
+                    symplectic_product(bad[a], bad[b], n) == (b == a + n)
                     for a in range(nn)
                     for b in range(a + 1, nn)
                 )
@@ -317,10 +321,10 @@ def test_transvections_map_x_to_y(n, data):
 
 def test_random_clifford_uniform_n1():
     rng = np.random.default_rng(17)
-    counts: dict[tuple, int] = {}
+    counts: dict[CliffordOp, int] = {}
     for _ in range(100_000):
-        k = random_clifford(1, rng).key()
-        counts[k] = counts.get(k, 0) + 1
+        c = random_clifford(1, rng)
+        counts[c] = counts.get(c, 0) + 1
     assert len(counts) == 24
     res = stats.chisquare(list(counts.values()))
     assert res.pvalue > 1e-3
@@ -365,6 +369,26 @@ def test_seed0_tableaus_are_pinned(n):
     assert int(rng.integers(2**30)) == following
     rng = np.random.default_rng(0)
     assert [random_tableau(n, rng) for _ in draws] == [(*i, s) for i, s in draws]
+
+
+# clifford_inverse(...).tableau of each SEED0_TABLEAUS draw, recorded from
+# the symplectic-matrix implementation it replaces.
+SEED0_INVERSES = {
+    1: [(2, 3, 3), (1, 2, 0)],
+    2: [(12, 4, 14, 3, 8), (11, 6, 4, 10, 1)],
+    3: [(25, 41, 7, 53, 26, 57, 5), (42, 13, 37, 29, 54, 20, 23)],
+    4: [
+        (48, 200, 187, 136, 218, 143, 99, 28, 38),
+        (149, 145, 55, 184, 216, 78, 134, 60, 161),
+    ],
+}
+
+
+@pytest.mark.parametrize("n", sorted(SEED0_INVERSES))
+def test_seed0_inverses_are_pinned(n):
+    draws, _ = SEED0_TABLEAUS[n]
+    got = [clifford_inverse(CliffordOp.from_tableau(n, (*i, s))).tableau for i, s in draws]
+    assert got == SEED0_INVERSES[n]
 
 
 def test_tableau_round_trip():
@@ -430,14 +454,16 @@ def test_enumerate_small_groups():
     assert len(enumerate_symplectics(1)) == 6
     cs = enumerate_cliffords(1)
     assert len(cs) == 24
-    assert len({c.key() for c in cs}) == 24
+    assert len(set(cs)) == 24
 
 
 @pytest.mark.slow
 def test_enumerate_n2():
     assert len(enumerate_symplectics(2)) == 720
     cs = enumerate_cliffords(2)
-    assert len({c.key() for c in cs}) == 11520
+    assert len(set(cs)) == 11520
+    for c in cs:
+        assert_inverts(c)
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +527,8 @@ def loop_stabilizer_generators(amps: np.ndarray, n: int) -> list[tuple[int, int,
             if abs(abs(exps[a, b]) - 1.0) <= 1e-9:
                 vecs.add(a | (b << n))
     gens = []
-    for v in rref_basis([BinVec(2 * n, v) for v in sorted(vecs) if v], 2 * n):
-        x, z = v.bits & ((1 << n) - 1), v.bits >> n
+    for v in rref_basis([v for v in sorted(vecs) if v], 2 * n):
+        x, z = v & ((1 << n) - 1), v >> n
         gens.append((x, z, 0 if exps[x, z] > 0 else 2))
     return gens
 
