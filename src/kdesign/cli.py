@@ -31,6 +31,7 @@ from .attack import (
 )
 from .commutant import (
     check_table_args,
+    check_twirl_args,
     clifford_twirl,
     export_weingarten_table,
     haar_twirl,
@@ -162,9 +163,9 @@ def _commutant(args: argparse.Namespace) -> None:
 def cmd_frame_potential(args: argparse.Namespace) -> int:
     started = time.monotonic()
     rng = _rng(args.seed)
-    out = _resolve_out(args.out)
     spec = _ensemble_from_args(args)
     estimate, stderr = frame_potential(spec, args.k, args.samples, rng)
+    out = _resolve_out(args.out)
     stem = f"frame_potential_{args.ensemble}_n{args.n}_k{args.k}_seed{args.seed}"
     path = os.path.join(out, f"{stem}.csv")
     with open(path, "w", encoding="utf-8") as fh:
@@ -303,7 +304,7 @@ def cmd_twirl_check(args: argparse.Namespace) -> int:
     if args.inputs < 1:
         raise ValidationError(f"--inputs must be at least 1, got {args.inputs}")
     rng = _rng(args.seed)
-    out = _resolve_out(args.out)
+    check_twirl_args(args.k, args.n)
     d = 2**args.n
     dim = d**args.k
     rows = []
@@ -320,6 +321,7 @@ def cmd_twirl_check(args: argparse.Namespace) -> int:
                 float(np.max(np.abs(twice - cliff))),
             )
         )
+    out = _resolve_out(args.out)
     stem = f"twirl_check_n{args.n}_k{args.k}_seed{args.seed}"
     path = os.path.join(out, f"{stem}.csv")
     with open(path, "w", encoding="utf-8") as fh:

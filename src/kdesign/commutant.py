@@ -6,7 +6,9 @@ even-weight subspace of F_2^k together with a symmetric zero-diagonal phase
 matrix M, and its full-register form is the n-fold tensor power of a single
 2^k x 2^k site operator.  This module enumerates canonical monomials, builds
 their matrices, computes the integer alpha-distance and the Gram/Weingarten
-tables, and applies Clifford and Haar twirls.
+tables, and builds one (inverse Gram, stacked operators) pair per basis:
+_clifford_basis over the monomials, _haar_basis over the permutations.
+Both twirls are the one projection _commutant_project onto such a span.
 
 Copy layout: copy c of qubit q sits at bit position c*n + q, i.e. base-d
 digit c of an index is the computational index of copy c.  Permutation
@@ -338,26 +340,28 @@ def _full_stack(k: int, n: int) -> np.ndarray:
     return out
 
 
-def _operand(o) -> np.ndarray:
-    return np.asarray(getattr(o, "matrix", o), dtype=complex)
+def _clifford_basis(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(inverse of tr(A^dagger B), stacked A) over the monomials: the table's
+    Gram matrix is tr(A^dagger B) / d^k, so the inverse is W / d^k."""
+    w = weingarten_table(k, n).weingarten / float(2 ** (n * k))
+    return w, _full_stack(k, n)
+
+
+def _commutant_project(w: np.ndarray, mats: np.ndarray, o) -> DenseOperator:
+    """sum_{A,B} w[A,B] A tr(B^dagger O) over stacked (s, D, D) operators; the
+    orthogonal projection onto their span when w inverts their Gram matrix."""
+    s, dim = mats.shape[:2]
+    om = np.asarray(getattr(o, "matrix", o), dtype=complex)
+    if om.shape != (dim, dim):
+        raise ValidationError(f"operand must be {dim}x{dim}")
+    coeffs = w @ (mats.reshape(s, -1).conj() @ om.reshape(-1))
+    return DenseOperator(dim, np.tensordot(coeffs, mats, axes=1))
 
 
 def clifford_twirl(o, k: int, n: int) -> DenseOperator:
-    """Average of C^(x)k O C^(x)k-dagger over the uniform Clifford group.
-
-    Evaluated in closed form through the Weingarten table:
-    (1/d^k) sum_{A,B} W[A,B] B tr(A^dagger O).
-    """
-    table = weingarten_table(k, n)
-    mats = _full_stack(k, n)
-    dim = mats.shape[1]
-    om = _operand(o)
-    if om.shape != (dim, dim):
-        raise ValidationError(f"operand must be {dim}x{dim} for k={k}, n={n}")
-    traces = mats.reshape(len(mats), -1).conj() @ om.reshape(-1)
-    coeffs = table.weingarten @ traces
-    res = np.tensordot(coeffs, mats, axes=1) / float(2 ** (n * k))
-    return DenseOperator(dim, res)
+    """Average of C^(x)k O C^(x)k-dagger over the uniform Clifford group,
+    in closed form as the projection onto the monomial span."""
+    return _commutant_project(*_clifford_basis(k, n), o)
 
 
 # ---------------------------------------------------------------------------
@@ -366,32 +370,17 @@ def clifford_twirl(o, k: int, n: int) -> DenseOperator:
 MAX_HAAR_COPIES = 4
 
 
-@dataclass(frozen=True)
-class PermutationOp:
+def permutation_matrix(perm: tuple[int, ...], d: int) -> np.ndarray:
     """T_pi on k copies of a d-dimensional system: digit c -> digit pi(c)."""
-
-    perm: tuple[int, ...]
-    d: int
-
-    def __post_init__(self) -> None:
-        if sorted(self.perm) != list(range(len(self.perm))):
-            raise ValidationError(f"not a permutation: {self.perm}")
-        if self.d < 1:
-            raise ValidationError("need d >= 1")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return _permutation_matrix(self.perm, self.d)
-
-
-def _permutation_matrix(perm: tuple[int, ...], d: int) -> np.ndarray:
     k = len(perm)
+    if sorted(perm) != list(range(k)):
+        raise ValidationError(f"not a permutation: {perm}")
+    if d < 1:
+        raise ValidationError("need d >= 1")
     dim = d**k
     if dim > MAX_COPY_OPERATOR_DIM:
         raise ValidationError("permutation operator exceeds the k-copy dimension limit")
-    inv = [0] * k
-    for c, p in enumerate(perm):
-        inv[p] = c
+    inv = _invert_perm(perm)
     src = np.zeros(dim, dtype=np.int64)
     for i in range(dim):
         digits = [(i // d**c) % d for c in range(k)]
@@ -438,21 +427,30 @@ def permutation_gram(k: int, d: int) -> np.ndarray:
     return lam
 
 
-def haar_twirl(o, k: int, d: int) -> DenseOperator:
-    """Exact Haar k-fold twirl: orthogonal projection onto span{T_pi}."""
+def _haar_basis(k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(inverse of tr(T_pi^dagger T_sigma), stacked T_pi) over S_k; a
+    pseudoinverse where d < k makes the T_pi dependent."""
+    mats = np.stack([permutation_matrix(p, d) for p in itertools.permutations(range(k))])
+    w, _ = _stable_inverse(permutation_gram(k, d), 1e-12)
+    return w, mats
+
+
+def _haar_twirl_basis(k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     if not 1 <= k <= MAX_HAAR_COPIES:
         raise ValidationError(f"Haar twirls support 1 <= k <= {MAX_HAAR_COPIES}")
-    if d**k > MAX_COPY_OPERATOR_DIM:
-        raise ValidationError("k-copy dimension over limit")
-    tmats = np.stack([_permutation_matrix(p, d) for p in itertools.permutations(range(k))])
-    om = _operand(o)
-    dim = d**k
-    if om.shape != (dim, dim):
-        raise ValidationError(f"operand must be {dim}x{dim}")
-    winv, _ = _stable_inverse(permutation_gram(k, d), 1e-12)
-    traces = tmats.reshape(len(tmats), -1) @ om.reshape(-1)  # T real
-    coeffs = winv @ traces
-    return DenseOperator(dim, np.tensordot(coeffs, tmats, axes=1))
+    return _haar_basis(k, d)
+
+
+def haar_twirl(o, k: int, d: int) -> DenseOperator:
+    """Exact Haar k-fold twirl: orthogonal projection onto span{T_pi}."""
+    return _commutant_project(*_haar_twirl_basis(k, d), o)
+
+
+def check_twirl_args(k: int, n: int) -> None:
+    """ValidationError unless clifford_twirl(., k, n) and haar_twirl(., k, 2^n)
+    accept (k, n), checked before an operand exists."""
+    _clifford_basis(k, n)
+    _haar_twirl_basis(k, 1 << n)
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,15 @@
 An ensemble is a small immutable spec tree: Haar on n qubits, uniform or
 enumerated Clifford groups, a fixed list of unitaries, or the sandwich
 construction C1 (U_t x I) C2 with an inner ensemble on the first t qubits.
-Samplers produce dense unitaries; moment_choi and frame_potential estimate
-k-th moment fingerprints, with exact closed forms where a group can be
-enumerated or a Weingarten table applies.
+Samplers produce dense unitaries, which frame_potential pairs.  Every moment
+operator comes from one of two kernels: _outer_average, E|v><v| over draws
+or over the elements of a finite spec (moment_choi, adaptive_output_state,
+finite exact_moment_choi), and _commutant_choi over a commutant basis (Haar
+and uniform Clifford exact_moment_choi).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -18,13 +19,7 @@ from typing import Union
 
 import numpy as np
 
-from .commutant import (
-    PermutationOp,
-    _full_stack,
-    _stable_inverse,
-    permutation_gram,
-    weingarten_table,
-)
+from .commutant import _clifford_basis, _haar_basis
 from .dense import MAX_DENSE_DIM, DenseOperator, haar_unitary, query_output_state
 from .errors import InternalConsistencyError, ValidationError
 from .pauli import cliffords_to_matrices, enumerate_cliffords, random_tableau
@@ -152,6 +147,8 @@ def _samples(spec: EnsembleSpec, size: int, rng: np.random.Generator):
     if not isinstance(spec, EnsembleSpec):
         raise ValidationError(f"unknown ensemble spec {spec!r}")
     d = 1 << spec.n_qubits
+    if d > MAX_DENSE_DIM:
+        raise ValidationError(f"{spec.n_qubits} qubits exceed the dense limit {MAX_DENSE_DIM}")
     per = max(1, _PASS_ENTRIES // (d * d))
     for lo in range(0, size, per):
         tableaus: dict[int, list] = {}
@@ -286,27 +283,47 @@ def _choi_dims(spec: EnsembleSpec, k: int) -> tuple[int, int]:
     return d, big
 
 
-def _kth_power(m: np.ndarray, k: int) -> np.ndarray:
-    return reduce(np.kron, [m] * k)
-
-
 def moment_choi(
     spec: EnsembleSpec, k: int, samples: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Sampled Choi state of the k-fold channel, J = E (U^k x I)|Phi+><Phi+|(..)^dag."""
     _, big = _choi_dims(spec, k)
+    if samples is None:
+        raise ValidationError("moment_choi needs samples >= 1; exact_moment_choi averages exactly")
+    return _outer_average(spec, samples, rng, big * big, _choi_vector(k, big))
+
+
+def _choi_vector(k: int, big: int):
+    """U -> (U^k x I)|Phi+>, as a flat vector of length big^2."""
+    scale = 1.0 / math.sqrt(big)
+    return lambda u: reduce(np.kron, [u] * k).reshape(-1) * scale
+
+
+def _unitaries(spec: EnsembleSpec, samples: int | None, rng: np.random.Generator | None):
+    """(count, iterator of (d, d) arrays): every element of a finite spec when
+    samples is None, else `samples` draws through _samples."""
+    if samples is None:
+        els = enumerate_unitaries(spec)
+        return len(els), (u.matrix for u in els)
     if samples < 1:
         raise ValidationError("need samples >= 1")
-    scale = 1.0 / math.sqrt(big)
-    acc = np.zeros((big * big, big * big), dtype=complex)
-    us = _samples(spec, samples, rng)
-    batch = max(1, CHUNK_ENTRIES // (big * big))
-    for done in range(0, samples, batch):
-        vs = np.empty((min(batch, samples - done), big * big), dtype=complex)
+    if rng is None:
+        raise ValidationError("Monte Carlo averaging needs an rng")
+    return samples, _samples(spec, samples, rng)
+
+
+def _outer_average(spec, samples, rng, dim: int, vector) -> np.ndarray:
+    """E |v(U)><v(U)| over the unitaries of _unitaries, as a checked state;
+    one GEMM per batch of vectors with at most CHUNK_ENTRIES entries."""
+    count, us = _unitaries(spec, samples, rng)
+    acc = np.zeros((dim, dim), dtype=complex)
+    batch = max(1, CHUNK_ENTRIES // dim)
+    for done in range(0, count, batch):
+        vs = np.empty((min(batch, count - done), dim), dtype=complex)
         for s in range(len(vs)):
-            vs[s] = _kth_power(next(us), k).reshape(-1) * scale
+            vs[s] = vector(next(us))
         acc += vs.T @ vs.conj()
-    acc /= samples
+    acc /= count
     return _checked_choi(acc)
 
 
@@ -317,44 +334,29 @@ def _checked_choi(j: np.ndarray) -> np.ndarray:
     j *= 0.5
     tr = np.trace(j).real
     if abs(tr - 1.0) > 1e-9:
-        raise InternalConsistencyError(f"Choi trace {tr} drifted from 1")
+        raise InternalConsistencyError(f"trace {tr} drifted from 1")
     return j
 
 
 def exact_moment_choi(spec: EnsembleSpec, k: int) -> np.ndarray:
     """Closed-form Choi state where the ensemble admits one.
 
-    Finite specs average exactly; Haar uses the permutation Weingarten
-    expansion and uniform Clifford the monomial one:
-    J = (1/D^2) sum_{A,B} W[A,B] A x conj(B) over the commutant basis.
+    Finite specs average exactly over their elements.  Haar and uniform
+    Clifford sum over a commutant basis (permutations, monomials):
+    J = (1/d^k) sum_{A,B} W[A,B] A x conj(B), W the inverse of tr(A^dagger B).
     """
     d, big = _choi_dims(spec, k)
     if isinstance(spec, (FixedList, CliffordEnumerated)):
-        els = enumerate_unitaries(spec)
-        scale = 1.0 / math.sqrt(big)
-        acc = np.zeros((big * big, big * big), dtype=complex)
-        chunk = max(1, CHUNK_ENTRIES // (big * big))
-        for start in range(0, len(els), chunk):
-            part = els[start : start + chunk]
-            vs = np.empty((len(part), big * big), dtype=complex)
-            for i, u in enumerate(part):
-                vs[i] = _kth_power(u.matrix, k).reshape(-1) * scale
-            acc += vs.T @ vs.conj()
-        acc /= len(els)
-        return _checked_choi(acc)
+        return _outer_average(spec, None, None, big * big, _choi_vector(k, big))
     if isinstance(spec, Haar):
-        tmats = np.stack([PermutationOp(p, d).matrix for p in itertools.permutations(range(k))])
-        winv, _ = _stable_inverse(permutation_gram(k, d), 1e-12)
-        j = _commutant_choi(winv, tmats)
-        j /= big
-        return _checked_choi(j)
-    if isinstance(spec, CliffordUniform):
-        table = weingarten_table(k, spec.n)
-        mats = _full_stack(k, spec.n)
-        j = _commutant_choi(table.weingarten, mats)
-        j /= big * big
-        return _checked_choi(j)
-    raise ValidationError(f"no exact Choi path for {type(spec).__name__}")
+        basis = _haar_basis(k, d)
+    elif isinstance(spec, CliffordUniform):
+        basis = _clifford_basis(k, spec.n)
+    else:
+        raise ValidationError(f"no exact Choi path for {type(spec).__name__}")
+    j = _commutant_choi(*basis)
+    j /= big
+    return _checked_choi(j)
 
 
 def _commutant_choi(w: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -385,18 +387,6 @@ def adaptive_output_state(
     if not queries:
         raise ValidationError("need at least one query operator")
     mats = [q.matrix if isinstance(q, DenseOperator) else np.asarray(q) for q in queries]
-    if samples is None:
-        us = [u.matrix for u in enumerate_unitaries(spec)]
-    else:
-        if samples < 1:
-            raise ValidationError("need samples >= 1")
-        if rng is None:
-            raise ValidationError("Monte Carlo averaging needs an rng")
-        us = _samples(spec, samples, rng)
-    states = np.array([query_output_state(u, mats) for u in us])
-    rho = states.T @ states.conj() / states.shape[0]
-    rho = 0.5 * (rho + rho.conj().T)
-    tr = np.trace(rho).real
-    if abs(tr - 1.0) > 1e-9:
-        raise InternalConsistencyError(f"output state trace {tr} drifted from 1")
-    return rho
+    return _outer_average(
+        spec, samples, rng, len(mats[0]), lambda u: query_output_state(u, mats)
+    )

@@ -510,6 +510,8 @@ class StabilizerGroup:
             raise ValidationError(
                 f"expected {self.n - self.t} generators, got {len(self.generators)}"
             )
+        if any(g.n != self.n for g in self.generators):
+            raise ValidationError(f"stabilizer generators must act on {self.n} qubits")
         for a, b in itertools.combinations(self.generators, 2):
             if chi(a, b) != 1:
                 raise ValidationError("stabilizer generators must commute")

@@ -17,13 +17,13 @@ import pytest
 
 from kdesign.attack import advantage_curve, compress, make_compressible
 from kdesign.commutant import (
-    PermutationOp,
     alpha,
     clifford_twirl,
     enumerate_monomials,
     haar_twirl,
     monomial_count,
     monomial_site_matrix,
+    permutation_matrix,
     trace_norm_exponent,
     vandermonde_bound_check,
 )
@@ -213,7 +213,7 @@ def test_08_overlap_exponent_property_suite():
         sites = [monomial_site_matrix(m).matrix for m in monos]
         perm_idx = []
         for perm in itertools.permutations(range(k)):
-            t = PermutationOp(perm, 2).matrix
+            t = permutation_matrix(perm, 2)
             matches = [i for i, s in enumerate(sites) if np.array_equal(s, t)]
             assert len(matches) == 1
             perm_idx.append(matches[0])

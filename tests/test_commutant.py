@@ -11,16 +11,15 @@ import pytest
 
 from kdesign.commutant import (
     PauliMonomial,
-    PermutationOp,
     _alpha_from_sites,
     _alpha_table,
     _fraction_inverse,
     _full_stack,
     _integer_exponent,
-    _permutation_matrix,
     _site_matrices,
     _site_stack,
     alpha,
+    check_twirl_args,
     clifford_twirl,
     enumerate_monomials,
     export_weingarten_table,
@@ -30,6 +29,7 @@ from kdesign.commutant import (
     monomial_count,
     monomial_site_matrix,
     permutation_gram,
+    permutation_matrix,
     trace_norm_exponent,
     vandermonde_bound_check,
     weingarten_table,
@@ -155,7 +155,7 @@ def test_site_matrices_commute_with_clifford_powers(k):
 
 def test_k3_monomials_are_the_six_permutations():
     sites = [monomial_site_matrix(m).matrix for m in enumerate_monomials(3)]
-    perms = [_permutation_matrix(p, 2) for p in itertools.permutations(range(3))]
+    perms = [permutation_matrix(p, 2) for p in itertools.permutations(range(3))]
     matched = set()
     for s in sites:
         hits = [i for i, t in enumerate(perms) if np.max(np.abs(s - t)) < 1e-10]
@@ -229,7 +229,7 @@ def test_alpha_property_suite(k):
             assert a[i, j] >= abs(monos[i].m - monos[j].m)
             assert a[i, j] >= abs(mps[i] - mps[j])
     # triangle inequality against every permutation operator
-    perm_sites = [_permutation_matrix(p, 2) for p in itertools.permutations(range(k))]
+    perm_sites = [permutation_matrix(p, 2) for p in itertools.permutations(range(k))]
     for t in perm_sites:
         ap = [_alpha_from_sites(s, t, k) for s in sites]
         for i in range(nmon):
@@ -345,20 +345,35 @@ def test_clifford_twirl_matches_group_average_n1_k2():
 
 
 def test_permutation_ops():
-    t12 = PermutationOp((1, 0), 3)
-    assert np.trace(t12.matrix) == pytest.approx(3.0)  # one cycle, d=3
+    t12 = permutation_matrix((1, 0), 3)
+    assert np.trace(t12) == pytest.approx(3.0)  # one cycle, d=3
     # homomorphism on S_3 with d=2
     perms = list(itertools.permutations(range(3)))
     for a in perms:
         for b in perms:
             ab = tuple(a[b[c]] for c in range(3))
             np.testing.assert_allclose(
-                _permutation_matrix(a, 2) @ _permutation_matrix(b, 2),
-                _permutation_matrix(ab, 2),
+                permutation_matrix(a, 2) @ permutation_matrix(b, 2),
+                permutation_matrix(ab, 2),
                 atol=1e-14,
             )
+    for perm, d in (((0, 0), 2), ((1, 0), 0), (tuple(range(5)), 4)):  # dim 1024 > 256
+        with pytest.raises(ValidationError):
+            permutation_matrix(perm, d)
+
+
+@pytest.mark.parametrize("k,n", [(5, 1), (4, 3), (2, 0), (5, 20)])
+def test_check_twirl_args_rejects_what_a_twirl_rejects(k, n):
     with pytest.raises(ValidationError):
-        PermutationOp((0, 0), 2)
+        check_twirl_args(k, n)
+
+
+def test_check_twirl_args_accepts_what_both_twirls_accept():
+    for k, n in ((1, 1), (4, 1), (4, 2), (2, 4)):
+        check_twirl_args(k, n)
+        o = np.eye(1 << (n * k))
+        np.testing.assert_allclose(clifford_twirl(o, k, n).matrix, o, atol=1e-9)
+        np.testing.assert_allclose(haar_twirl(o, k, 1 << n).matrix, o, atol=1e-9)
 
 
 def test_permutation_gram_example():
@@ -375,7 +390,7 @@ def test_haar_twirl_k1():
 def test_haar_twirl_fixes_permutations():
     for k, d in ((2, 4), (3, 2), (3, 4)):
         for p in itertools.permutations(range(k)):
-            t = _permutation_matrix(p, d)
+            t = permutation_matrix(p, d)
             np.testing.assert_allclose(haar_twirl(t, k, d).matrix, t, atol=1e-9)
 
 
@@ -401,7 +416,7 @@ def test_haar_twirl_monte_carlo():
 
 def test_haar_twirl_pseudo_when_d_lt_k():
     # d=2 < k=3: T_pi are linearly dependent; the projection must still fix them
-    t = _permutation_matrix((1, 2, 0), 2)
+    t = permutation_matrix((1, 2, 0), 2)
     np.testing.assert_allclose(haar_twirl(t, 3, 2).matrix, t, atol=1e-9)
 
 
@@ -421,7 +436,7 @@ def test_three_design_agreement_and_k4_gap():
 def test_cross_layout_swap_consistency():
     # the two-copy SWAP monomial on n=2 must equal T_(01) with d=4
     full = _full_stack(2, 2)[enumerate_monomials(2).index(swap_monomial())]
-    np.testing.assert_allclose(full, _permutation_matrix((1, 0), 4), atol=1e-12)
+    np.testing.assert_allclose(full, permutation_matrix((1, 0), 4), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

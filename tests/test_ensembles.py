@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import itertools
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from kdesign.commutant import (
-    PermutationOp,
     _full_stack,
     permutation_gram,
+    permutation_matrix,
     weingarten_table,
 )
 from kdesign.dense import DenseOperator, haar_unitary, query_output_state
@@ -29,6 +30,7 @@ from kdesign.ensembles import (
     sample,
     to_config,
 )
+from kdesign import ensembles
 from kdesign.ensembles import _checked_choi, _samples
 from kdesign.errors import ValidationError
 
@@ -250,7 +252,7 @@ def reference_exact_choi(spec, k: int) -> np.ndarray:
     """Haar/uniform-Clifford Choi state as the |basis|^2 Kronecker sum."""
     if isinstance(spec, Haar):
         d = 1 << spec.n
-        mats = [PermutationOp(p, d).matrix for p in itertools.permutations(range(k))]
+        mats = [permutation_matrix(p, d) for p in itertools.permutations(range(k))]
         lam = permutation_gram(k, d)
         sv = np.linalg.svd(lam, compute_uv=False)
         if sv[-1] / sv[0] < 1e-12:
@@ -315,6 +317,49 @@ def test_moment_choi_dimension_guard():
         moment_choi(Haar(4), 2, 10, rng)
     with pytest.raises(ValidationError):
         exact_moment_choi(Homeopathy(2, 1, Haar(1)), 2)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3])
+def test_outer_average_is_the_same_across_chunks(monkeypatch, batch):
+    # 7 samples in chunks of `batch` vectors against the default single chunk
+    spec = Homeopathy(2, 1, Haar(1))
+    rng = np.random.default_rng(71)
+    queries = [haar_unitary(8, rng).matrix for _ in range(2)]  # one ancilla qubit
+
+    def both():
+        return (
+            moment_choi(spec, 1, 7, np.random.default_rng(5)),
+            adaptive_output_state(spec, queries, 7, np.random.default_rng(6)),
+        )
+
+    whole = both()
+    monkeypatch.setattr(ensembles, "CHUNK_ENTRIES", batch * 16)
+    choi = moment_choi(spec, 1, 7, np.random.default_rng(5))
+    monkeypatch.setattr(ensembles, "CHUNK_ENTRIES", batch * 8)
+    out = adaptive_output_state(spec, queries, 7, np.random.default_rng(6))
+    np.testing.assert_allclose(choi, whole[0], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(out, whole[1], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "spec", [CliffordUniform(40), Homeopathy(40, 2, Haar(2)), CliffordUniform(13)], ids=str
+)
+def test_too_wide_spec_is_rejected_before_any_draw(spec):
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(ValidationError, match="dense limit"):
+        frame_potential(spec, 2, 10, rng)
+    with pytest.raises(ValidationError, match="dense limit"):
+        sample(spec, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_exact_haar_choi_past_the_haar_twirl_cap():
+    # k = 5 > MAX_HAAR_COPIES: the cap is haar_twirl's, the Haar basis has none
+    j = exact_moment_choi(Haar(1), 5)
+    u = haar_unitary(2, np.random.default_rng(73)).matrix
+    v = np.kron(reduce(np.kron, [u] * 5), reduce(np.kron, [u.conj()] * 5))
+    np.testing.assert_allclose(v @ j @ v.conj().T, j, atol=1e-12)
 
 
 def test_adaptive_output_fixed_unitary_is_pure():

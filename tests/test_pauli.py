@@ -630,3 +630,8 @@ def test_stabilizer_group_rejects_anticommuting_generators():
         StabilizerGroup(2, 0, (PauliString(2, 1, 0), PauliString(2, 0, 1)))
     with pytest.raises(ValidationError):
         StabilizerGroup(2, 1, (PauliString(2, 1, 0), PauliString(2, 2, 0)))
+
+
+def test_stabilizer_group_rejects_generators_on_other_qubit_counts():
+    with pytest.raises(ValidationError, match="act on 3 qubits"):
+        StabilizerGroup(3, 2, (PauliString(2, 0, 1),))
