@@ -142,21 +142,12 @@ class CompressibleSource:
 
     n: int
     t: int
-    states: tuple[StateVector, ...] | None = None
 
     def __post_init__(self) -> None:
         if not 0 <= self.t <= self.n <= MAX_ATTACK_QUBITS:
             raise ValidationError(f"need 0 <= t <= n <= {MAX_ATTACK_QUBITS}")
-        if self.states is not None:
-            if not self.states:
-                raise ValidationError("state list must be nonempty")
-            for s in self.states:
-                if s.n != self.n:
-                    raise ValidationError("state list register sizes must match n")
 
     def draw(self, rng: np.random.Generator) -> StateVector:
-        if self.states is not None:
-            return self.states[int(rng.integers(len(self.states)))]
         return make_compressible(self.n, self.t, rng)
 
 

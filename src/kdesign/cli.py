@@ -348,8 +348,8 @@ def cmd_twirl_check(args: argparse.Namespace) -> int:
 
 def cmd_vandermonde(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    out = _resolve_out(args.out)
     report = vandermonde_bound_check(args.k)
+    out = _resolve_out(args.out)
     stem = f"vandermonde_k{args.k}"
     path = os.path.join(out, f"{stem}.csv")
     with open(path, "w", encoding="utf-8") as fh:

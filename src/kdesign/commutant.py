@@ -8,11 +8,16 @@ matrix M, and its full-register form is the n-fold tensor power of a single
 their matrices, computes the integer alpha-distance and the Gram/Weingarten
 tables, and builds one (inverse Gram, stacked operators) pair per basis:
 _clifford_basis over the monomials, _haar_basis over the permutations.
-Both twirls are the one projection _commutant_project onto such a span.
+Both pairs come from cached read-only arrays, and both Gram matrices are
+inverted by _stable_inverse under one cutoff.  Both twirls are the one
+projection _commutant_project onto such a span.
 
 Copy layout: copy c of qubit q sits at bit position c*n + q, i.e. base-d
 digit c of an index is the computational index of copy c.  Permutation
-operators use the same digit convention.
+operators use the same digit convention.  One index kernel,
+_digit_permutation, reorders digits for both bases: it places the entries
+of each permutation operator, and it moves the Kronecker powers of the site
+matrices from qubit-major bits (q*k + c) into the copy layout.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import numpy as np
 from .dense import DenseOperator
 from .errors import InternalConsistencyError, ValidationError
 from .f2 import rank
-from .pauli import _pauli_action
+from .pauli import _pauli_action, _pauli_product
 
 MAX_MONOMIAL_COPIES = 6
 MAX_TABLE_COPIES = 5  # Gram/Weingarten dense inversion
@@ -150,7 +155,6 @@ def _site_matrices(monos) -> np.ndarray:
     """
     d = 1 << monos[0].k
     rows = np.arange(d)
-    cnt = np.bitwise_count
     out = np.empty((len(monos), d, d), dtype=complex)
     by_m: dict[int, list[int]] = {}
     for i, mono in enumerate(monos):
@@ -175,9 +179,7 @@ def _site_matrices(monos) -> np.ndarray:
             for j in range(m):
                 fx = lx[:, j] * cols[:, j, None]
                 fz = lz[:, j] * cols[:, j, None]
-                nx, nz = x ^ fx, z ^ fz
-                ph = (ph + cnt(x & z) + cnt(fx & fz) + 2 * cnt(z & fx) - cnt(nx & nz)) % 4
-                x, z = nx, nz
+                x, z, ph = _pauli_product(x, z, ph, fx, fz, 0)
             src, fac = _pauli_action(x[..., None], z[..., None], (ph + 2 * sign)[..., None], rows)
             flat = ((np.arange(g)[:, None, None] * d + rows) * d + src).ravel()
             for part, vals in ((out.real, fac.real), (out.imag, fac.imag)):
@@ -285,12 +287,19 @@ def gram_matrix(k: int, n: int) -> WeingartenTable:
     return WeingartenTable(k, n, monos, g, None, False, smin)
 
 
-def _stable_inverse(mat: np.ndarray, rcond: float) -> tuple[np.ndarray, bool]:
-    """(inverse, False), or (pseudoinverse at rcond, True) when the ratio of
-    the extreme singular values falls below rcond."""
+# Every singular value of every reachable Gram matrix (monomials k <= 5,
+# n <= 6; permutations k <= 6, d <= 16) is below 1e-13 or above 2e-3 times
+# the largest, so any cutoff between those picks the same branch and keeps
+# the same values.
+_RCOND = 1e-10
+
+
+def _stable_inverse(mat: np.ndarray) -> tuple[np.ndarray, bool]:
+    """(inverse, False), or (pseudoinverse at _RCOND, True) when the ratio of
+    the extreme singular values falls below _RCOND."""
     s = np.linalg.svd(mat, compute_uv=False)
-    if s.min() / s.max() < rcond:
-        return np.linalg.pinv(mat, rcond=rcond), True
+    if s.min() / s.max() < _RCOND:
+        return np.linalg.pinv(mat, rcond=_RCOND), True
     return np.linalg.inv(mat), False
 
 
@@ -298,7 +307,7 @@ def _stable_inverse(mat: np.ndarray, rcond: float) -> tuple[np.ndarray, bool]:
 def weingarten_table(k: int, n: int) -> WeingartenTable:
     """Gram matrix plus its inverse (pseudoinverse with flag when singular)."""
     base = gram_matrix(k, n)
-    w, pseudo = _stable_inverse(base.gram, 1e-10)
+    w, pseudo = _stable_inverse(base.gram)
     w = 0.5 * (w + w.T)  # G is symmetric; keep its inverse exactly so
     w.flags.writeable = False
     return replace(base, weingarten=w, pseudo=pseudo)
@@ -308,18 +317,11 @@ def weingarten_table(k: int, n: int) -> WeingartenTable:
 # full-register monomial matrices and the Clifford twirl
 
 
-def _interleave_index_map(k: int, n: int) -> np.ndarray:
-    """Basis map from qubit-major bits (q*k + c) to copy-major bits (c*n + q)."""
-    m = n * k
-    out = np.zeros(1 << m, dtype=np.int64)
-    for src in range(1 << m):
-        j = 0
-        for q in range(n):
-            for c in range(k):
-                if (src >> (q * k + c)) & 1:
-                    j |= 1 << (c * n + q)
-        out[src] = j
-    return out
+def _digit_permutation(perm: tuple[int, ...], d: int) -> np.ndarray:
+    """Index map of "digit c goes to digit perm[c]" on k base-d digits:
+    entry i is the index whose digit perm[c] is digit c of i."""
+    digits = np.arange(d ** len(perm))[:, None] // d ** np.arange(len(perm)) % d
+    return digits @ d ** np.array(perm, dtype=np.int64)
 
 
 @lru_cache(maxsize=None)
@@ -331,7 +333,8 @@ def _full_stack(k: int, n: int) -> np.ndarray:
             f"k-copy operators limited to dimension {MAX_COPY_OPERATOR_DIM}, need {dim}"
         )
     _, sites = _site_stack(k)
-    idx = _interleave_index_map(k, n)
+    # qubit-major bit q*k + c of the Kronecker power goes to bit c*n + q
+    idx = _digit_permutation(tuple(c * n + q for q in range(n) for c in range(k)), 2)
     out = np.empty((len(sites), dim, dim), dtype=complex)
     for i, site in enumerate(sites):
         full = reduce(np.kron, [site] * n)
@@ -380,14 +383,8 @@ def permutation_matrix(perm: tuple[int, ...], d: int) -> np.ndarray:
     dim = d**k
     if dim > MAX_COPY_OPERATOR_DIM:
         raise ValidationError("permutation operator exceeds the k-copy dimension limit")
-    inv = _invert_perm(perm)
-    src = np.zeros(dim, dtype=np.int64)
-    for i in range(dim):
-        digits = [(i // d**c) % d for c in range(k)]
-        j = sum(digits[inv[c]] * d**c for c in range(k))
-        src[j] = i
     t = np.zeros((dim, dim))
-    t[np.arange(dim), src] = 1.0
+    t[_digit_permutation(perm, d), np.arange(dim)] = 1.0
     return t
 
 
@@ -427,11 +424,15 @@ def permutation_gram(k: int, d: int) -> np.ndarray:
     return lam
 
 
+@lru_cache(maxsize=None)
 def _haar_basis(k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """(inverse of tr(T_pi^dagger T_sigma), stacked T_pi) over S_k; a
-    pseudoinverse where d < k makes the T_pi dependent."""
+    pseudoinverse where d < k makes the T_pi dependent.  The stack stays
+    float64: a complex one could change the bits of the exact Haar Choi
+    states."""
     mats = np.stack([permutation_matrix(p, d) for p in itertools.permutations(range(k))])
-    w, _ = _stable_inverse(permutation_gram(k, d), 1e-12)
+    w, _ = _stable_inverse(permutation_gram(k, d))
+    w.flags.writeable = mats.flags.writeable = False
     return w, mats
 
 

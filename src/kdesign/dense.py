@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import InternalConsistencyError, ValidationError
 from .pauli import (
+    MAX_DENSE_QUBITS,
     PauliString,
     _fwht,
     _pauli_table,
@@ -22,8 +23,7 @@ from .pauli import (
     pauli_expectations_all,
 )
 
-MAX_STATE_QUBITS = 12
-MAX_DENSE_DIM = 1 << MAX_STATE_QUBITS
+MAX_DENSE_DIM = 1 << MAX_DENSE_QUBITS
 MAX_TABLE_QUBITS = 6  # 4^n Pauli tables
 
 
@@ -37,7 +37,7 @@ class StateVector:
     def __post_init__(self) -> None:
         d = 1 << self.n
         if d > MAX_DENSE_DIM:
-            raise ValidationError(f"n={self.n} exceeds the dense limit of {MAX_STATE_QUBITS} qubits")
+            raise ValidationError(f"n={self.n} exceeds the dense limit of {MAX_DENSE_QUBITS} qubits")
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (d,):
             raise ValidationError(f"expected {d} amplitudes, got shape {amps.shape}")
@@ -84,7 +84,7 @@ def _amps(psi) -> np.ndarray:
 def haar_state(n: int, rng: np.random.Generator) -> StateVector:
     """Exactly Haar-distributed pure state (normalized complex Gaussian)."""
     if n < 1 or (1 << n) > MAX_DENSE_DIM:
-        raise ValidationError(f"need 1 <= n <= {MAX_STATE_QUBITS}, got {n}")
+        raise ValidationError(f"need 1 <= n <= {MAX_DENSE_QUBITS}, got {n}")
     d = 1 << n
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
     return StateVector(n, v / np.linalg.norm(v))

@@ -68,14 +68,6 @@ def nullspace(rows: list[int], ncols: int) -> list[int]:
     return rref_basis(basis, ncols)
 
 
-def in_span(v: int, basis: list[int], ncols: int) -> bool:
-    rows, pivots = _rref(basis, ncols)
-    for row, p in zip(rows, pivots):
-        if (v >> p) & 1:
-            v ^= row
-    return v == 0
-
-
 def span_intersect(a: list[int], b: list[int], ncols: int) -> list[int]:
     """Canonical basis of span(a) & span(b), by the Zassenhaus block trick."""
     if not a or not b:

@@ -107,6 +107,15 @@ def pauli_mul(p: PauliString, q: PauliString) -> PauliString:
     return PauliString(p.n, x, z, phase)
 
 
+def _pauli_product(ax, az, aph, bx, bz, bph):
+    """(x, z, phase) of i^aph sigma(ax, az) times i^bph sigma(bx, bz): the
+    phase rule of pauli_mul on integer arrays, which broadcast."""
+    cnt = np.bitwise_count
+    x, z = ax ^ bx, az ^ bz
+    ph = (aph + bph + cnt(ax & az) + cnt(bx & bz) + 2 * cnt(az & bx) - cnt(x & z)) % 4
+    return x, z, ph
+
+
 def chi(p: PauliString, q: PauliString) -> int:
     """+1 when the Paulis commute, -1 when they anticommute."""
     if p.n != q.n:
@@ -416,6 +425,7 @@ def enumerate_cliffords(n: int) -> list[CliffordOp]:
 # dense conversion
 
 
+# The largest register held as dense amplitudes or matrices, here and in dense.
 MAX_DENSE_QUBITS = 12
 
 
@@ -463,19 +473,12 @@ def cliffords_to_matrices(n: int, tableaus) -> np.ndarray:
     psi = psi * (np.abs(top) / top)
 
     # X-image products P_x: P_{x + 2^j} = P_x X_j for x < 2^j
-    # with the phase rule of pauli_mul
-    cnt = np.bitwise_count
     px, pz, pph = (np.zeros((m, d), dtype=np.int64) for _ in range(3))
     for j in range(n):
         h = 1 << j
-        ax, az, aph = px[:, :h], pz[:, :h], pph[:, :h]
-        bx, bz, bph = xs[:, j, None], zs[:, j, None], phases[:, j, None]
-        px[:, h : 2 * h] = ax ^ bx
-        pz[:, h : 2 * h] = az ^ bz
-        pph[:, h : 2 * h] = (
-            aph + bph + cnt(ax & az) + cnt(bx & bz) + 2 * cnt(az & bx)
-            - cnt((ax ^ bx) & (az ^ bz))
-        ) % 4
+        px[:, h : 2 * h], pz[:, h : 2 * h], pph[:, h : 2 * h] = _pauli_product(
+            px[:, :h], pz[:, :h], pph[:, :h], xs[:, j, None], zs[:, j, None], phases[:, j, None]
+        )
     src, fac = _pauli_action(
         px[:, None, :], pz[:, None, :], pph[:, None, :], rows[:, None]
     )

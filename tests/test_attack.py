@@ -28,7 +28,7 @@ from kdesign.dense import (
     haar_state,
 )
 from kdesign.errors import ValidationError
-from kdesign.f2 import in_span
+from kdesign.f2 import rank
 from kdesign.pauli import clifford_to_matrix, stabilizer_group_of
 
 
@@ -125,11 +125,6 @@ def test_source_validation():
         CompressibleSource(9, 0)
     with pytest.raises(ValidationError):
         CompressibleSource(2, 3)
-    with pytest.raises(ValidationError):
-        CompressibleSource(2, 0, states=())
-    rng = np.random.default_rng(157)
-    with pytest.raises(ValidationError):
-        CompressibleSource(3, 0, states=(haar_state(2, rng),))
 
 
 def test_samples_lie_in_stabilizer_support():
@@ -140,7 +135,7 @@ def test_samples_lie_in_stabilizer_support():
     table = bell_difference_table(psi)
     for f in draw_from_table(table, rng, 50):
         v = flat_index_to_pauli(int(f), 4).symplectic_vec
-        assert in_span(v, basis, 8)
+        assert rank(basis + [v], 8) == len(basis)
 
 
 def test_product_state_factors_independent():
@@ -239,13 +234,6 @@ def test_distinguish_validation():
     for eps in (0.0, -0.5, 2.0, float("nan")):
         with pytest.raises(ValidationError):
             distinguish(CompressibleSource(3, 0), 2, eps, 10, rng, thresholded=True)
-
-
-def test_fixed_state_source_draws_from_list():
-    rng = np.random.default_rng(199)
-    psi = make_compressible(3, 0, rng)
-    src = CompressibleSource(3, 0, states=(psi,))
-    assert src.draw(rng) is psi
 
 
 def test_advantage_curve_rows():

@@ -321,19 +321,21 @@ def test_bad_later_value_exits_2_before_any_run(tmp_path, monkeypatch, capsys, n
 
 
 # inputs rejected by the library before anything is drawn or written
-FP = ["frame-potential", "--k", "2", "--samples", "10", "--ensemble"]
+FP = ["frame-potential", "--k", "2", "--samples", "10", "--seed", "1", "--ensemble"]
 BAD_BEFORE_DRAW = {
     "clifford-n40": FP + ["clifford", "--n", "40"],
     "homeopathy-n40": FP + ["homeopathy", "--n", "40", "--t", "2"],
     "homeopathy-t-over-n": FP + ["homeopathy", "--n", "2", "--t", "3"],
-    "twirl-n20-k5": ["twirl-check", "--n", "20", "--k", "5"],
-    "twirl-k5": ["twirl-check", "--n", "1", "--k", "5", "--inputs", "1"],
+    "twirl-n20-k5": ["twirl-check", "--n", "20", "--k", "5", "--seed", "1"],
+    "twirl-k5": ["twirl-check", "--n", "1", "--k", "5", "--inputs", "1", "--seed", "1"],
+    "vandermonde-k0": ["vandermonde", "--k", "0"],
+    "vandermonde-k17": ["vandermonde", "--k", "17"],
 }
 
 
 @pytest.mark.parametrize("name", sorted(BAD_BEFORE_DRAW))
 def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, name):
-    argv = BAD_BEFORE_DRAW[name] + ["--seed", "1", "--out", str(tmp_path / "D")]
+    argv = BAD_BEFORE_DRAW[name] + ["--out", str(tmp_path / "D")]
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err

@@ -15,6 +15,7 @@ from kdesign.commutant import (
     _alpha_table,
     _fraction_inverse,
     _full_stack,
+    _haar_basis,
     _integer_exponent,
     _site_matrices,
     _site_stack,
@@ -362,6 +363,25 @@ def test_permutation_ops():
             permutation_matrix(perm, d)
 
 
+def test_permutation_matrix_moves_digit_c_to_digit_pi_c():
+    d = 3
+    for p in itertools.permutations(range(3)):
+        want = np.zeros((d**3, d**3))
+        for digits in itertools.product(range(d), repeat=3):
+            i = sum(v * d**c for c, v in enumerate(digits))
+            j = sum(v * d ** p[c] for c, v in enumerate(digits))
+            want[j, i] = 1.0
+        assert np.array_equal(permutation_matrix(p, d), want)
+
+
+def test_haar_basis_is_cached_and_read_only():
+    w, mats = _haar_basis(4, 4)
+    again = _haar_basis(4, 4)
+    assert again[0] is w and again[1] is mats
+    assert not w.flags.writeable and not mats.flags.writeable
+    assert mats.dtype == np.float64
+
+
 @pytest.mark.parametrize("k,n", [(5, 1), (4, 3), (2, 0), (5, 20)])
 def test_check_twirl_args_rejects_what_a_twirl_rejects(k, n):
     with pytest.raises(ValidationError):
@@ -437,6 +457,12 @@ def test_cross_layout_swap_consistency():
     # the two-copy SWAP monomial on n=2 must equal T_(01) with d=4
     full = _full_stack(2, 2)[enumerate_monomials(2).index(swap_monomial())]
     np.testing.assert_allclose(full, permutation_matrix((1, 0), 4), atol=1e-12)
+    # and every T_pi with d = 2^n is exactly one monomial of the copy-major stack
+    for k, n in ((3, 2), (4, 2), (5, 1)):
+        stack = _full_stack(k, n)
+        for p in itertools.permutations(range(k)):
+            t = permutation_matrix(p, 1 << n)
+            assert sum(np.array_equal(t, row) for row in stack) == 1, (k, n, p)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 from kdesign.errors import InternalConsistencyError
 from kdesign.f2 import (
-    in_span,
     nullspace,
     rank,
     rref_basis,
@@ -236,9 +235,3 @@ def test_exhaustive_width_two():
         for rows in itertools.product(range(4), repeat=nrows):
             assert rank(list(rows), 2) == naive_rank(list(rows))
             assert naive_span(nullspace(list(rows), 2)) == naive_nullspace(list(rows), 2)
-
-
-def test_in_span():
-    basis = [0b0011, 0b0101]
-    assert in_span(0b0110, basis, 4)
-    assert not in_span(0b1000, basis, 4)
