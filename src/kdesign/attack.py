@@ -10,13 +10,13 @@ the squared expectation of a uniformly random nontrivial element of S.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dense import (
+    MAX_TABLE_QUBITS,
     StateVector,
     bell_difference_table,
     draw_from_table,
@@ -44,7 +44,6 @@ from .pauli import (
 )
 
 MAX_ATTACK_QUBITS = 8
-ATTACK_SCHEMA_VERSION = 1
 
 
 def make_compressible(n: int, t: int, rng: np.random.Generator) -> StateVector:
@@ -218,6 +217,16 @@ def sample_attack_statistic(
     return min(stat, 1.0)
 
 
+def check_distinguish_args(n: int, t: int) -> None:
+    """ValidationError unless distinguish accepts a t-compressible n-qubit
+    source: its Bell-difference tables hold 4^n entries."""
+    if n > MAX_TABLE_QUBITS:
+        raise ValidationError(
+            f"the distinguisher's 4^n tables need n <= {MAX_TABLE_QUBITS}, got n={n}"
+        )
+    CompressibleSource(n, t)
+
+
 def distinguish(
     source: CompressibleSource,
     l: int,
@@ -227,6 +236,7 @@ def distinguish(
     thresholded: bool = False,
 ) -> AttackReport:
     """Run the Bell-difference attack for `trials` fresh states."""
+    check_distinguish_args(source.n, source.t)
     if l < 1:
         raise ValidationError("need l >= 1 samples per trial")
     if not 0.0 < epsilon_t <= 1.0:
@@ -282,42 +292,3 @@ def advantage_curve(
         ref = distinguish(CompressibleSource(n, n), l, epsilon_t, trials, rng, thresholded)
         rows.append(AdvantageRow.from_reports(src, ref))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# artifacts
-
-
-def write_trials_csv(report: AttackReport, path: str) -> None:
-    lines = ["trial,statistic"]
-    for i, s in enumerate(report.statistics):
-        lines.append(f"{i},{s!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def write_advantage_json(
-    rows: list[AdvantageRow], path: str, *, n: int, trials: int, seed: int, epsilon_t: float
-) -> None:
-    doc = {
-        "schema_version": ATTACK_SCHEMA_VERSION,
-        "n": n,
-        "trials": trials,
-        "seed": seed,
-        "epsilon_t": epsilon_t,
-        "rows": [
-            {
-                "t": r.t,
-                "l": r.l,
-                "copies": r.copies,
-                "source_mean": r.source_mean,
-                "haar_mean": r.haar_mean,
-                "advantage": r.advantage,
-                "stderr": r.stderr,
-            }
-            for r in rows
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")

@@ -3,7 +3,8 @@
 Every subcommand writes its artifacts into an output directory plus a
 `.manifest.json` sibling recording version, seed, parameter tree, and wall
 time.  CSV artifacts are byte-stable for a fixed (subcommand, flags, seed);
-the manifest is not, because it records wall time.
+the manifest is not, because it records wall time.  The drivers are the only
+writers of files: the library returns results, and `_record` writes them.
 
 List-valued flags (`commutant --k/--n`, `decay --k`, `distinguish --t`) run
 the subcommand once per value, each run writing what it writes alone.  Every
@@ -13,6 +14,7 @@ value is checked before the first run, so a bad value writes nothing.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import os
@@ -22,13 +24,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .attack import (
-    AdvantageRow,
-    CompressibleSource,
-    distinguish,
-    write_advantage_json,
-    write_trials_csv,
-)
+from .attack import AdvantageRow, CompressibleSource, check_distinguish_args, distinguish
 from .commutant import (
     check_table_args,
     check_twirl_args,
@@ -40,48 +36,62 @@ from .commutant import (
 )
 from .ensembles import CliffordUniform, Haar, Homeopathy, _choi_dims, frame_potential, to_config
 from .errors import InternalConsistencyError, ValidationError
-from .moments import (
-    decay_experiment,
-    envelope_satisfied,
-    fitted_log2_slope,
-    monotone_above_floor,
-    write_decay_csv,
-)
+from .moments import decay_experiment, envelope_satisfied, fitted_log2_slope, monotone_above_floor
 
 OUTPUT_DIR_ENV = "KDESIGN_OUTPUT_DIR"
 MANIFEST_SCHEMA_VERSION = 1
+ATTACK_SCHEMA_VERSION = 1
 LIST_HELP = "a value, a range '1..5' or a list '1,3,5'; one run per value"
 
+# CSV headers, each written once: the artifacts and the --help epilogs use them
+FRAME_POTENTIAL_COLUMNS = "ensemble,n,k,samples,estimate,stderr,seed"
+DECAY_COLUMNS = "t,distance,stderr,floor,samples,seed"
+TRIAL_COLUMNS = "trial,statistic"
+TWIRL_COLUMNS = "input,clifford_vs_haar,idempotence_error"
+VANDERMONDE_COLUMNS = "i,row_sum,bound,ratio"
 
-def _resolve_out(explicit: str | None) -> str:
-    out = explicit or os.environ.get(OUTPUT_DIR_ENV) or "."
-    os.makedirs(out, exist_ok=True)
-    return out
+
+def _csv(header: str, rows) -> str:
+    """CSV text; str() of a Python float is its shortest round-trip repr."""
+    return "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n"
 
 
-def _write_manifest(
-    out: str,
-    stem: str,
+def _json(doc: dict) -> str:
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def _record(
+    args: argparse.Namespace,
     subcommand: str,
-    seed: int | None,
-    spec_tree: dict,
-    artifacts: list[str],
+    stem: str,
+    spec: dict,
+    artifacts: dict[str, str],
     started: float,
-) -> str:
-    doc = {
+) -> list[str]:
+    """Write each `{suffix: text}` artifact as `<stem><suffix>`, then the
+    manifest, into --out, else $KDESIGN_OUTPUT_DIR, else the working
+    directory.  Returns the artifact paths."""
+    out = args.out or os.environ.get(OUTPUT_DIR_ENV) or "."
+    os.makedirs(out, exist_ok=True)
+
+    def write(name: str, text: str) -> str:
+        path = os.path.join(out, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return path
+
+    paths = [write(stem + suffix, text) for suffix, text in artifacts.items()]
+    manifest = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "tool_version": __version__,
         "subcommand": subcommand,
-        "seed": seed,
-        "spec": spec_tree,
-        "artifacts": artifacts,
+        "seed": getattr(args, "seed", None),
+        "spec": spec,
+        "artifacts": [os.path.basename(p) for p in paths],
         "wall_time_seconds": time.monotonic() - started,
     }
-    path = os.path.join(out, f"{stem}.manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return path
+    write(f"{stem}.manifest.json", _json(manifest))
+    return paths
 
 
 def _parse_list(flag: str, text: str) -> list[int]:
@@ -141,17 +151,12 @@ def cmd_commutant(args: argparse.Namespace) -> int:
 def _commutant(args: argparse.Namespace) -> None:
     started = time.monotonic()
     table = weingarten_table(args.k, args.n)
-    out = _resolve_out(args.out)
-    stem = f"commutant_k{args.k}_n{args.n}"
-    path = os.path.join(out, f"{stem}.json")
-    export_weingarten_table(table, path)
-    _write_manifest(
-        out,
-        stem,
+    [path] = _record(
+        args,
         "commutant",
-        None,
+        f"commutant_k{args.k}_n{args.n}",
         {"k": args.k, "n": args.n},
-        [os.path.basename(path)],
+        {".json": export_weingarten_table(table)},
         started,
     )
     print(
@@ -165,22 +170,13 @@ def cmd_frame_potential(args: argparse.Namespace) -> int:
     rng = _rng(args.seed)
     spec = _ensemble_from_args(args)
     estimate, stderr = frame_potential(spec, args.k, args.samples, rng)
-    out = _resolve_out(args.out)
-    stem = f"frame_potential_{args.ensemble}_n{args.n}_k{args.k}_seed{args.seed}"
-    path = os.path.join(out, f"{stem}.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("ensemble,n,k,samples,estimate,stderr,seed\n")
-        fh.write(
-            f"{args.ensemble},{args.n},{args.k},{args.samples},"
-            f"{estimate!r},{stderr!r},{args.seed}\n"
-        )
-    _write_manifest(
-        out,
-        stem,
+    row = (args.ensemble, args.n, args.k, args.samples, estimate, stderr, args.seed)
+    [path] = _record(
+        args,
         "frame-potential",
-        args.seed,
+        f"frame_potential_{args.ensemble}_n{args.n}_k{args.k}_seed{args.seed}",
         {"ensemble": to_config(spec), "k": args.k, "samples": args.samples},
-        [os.path.basename(path)],
+        {".csv": _csv(FRAME_POTENTIAL_COLUMNS, [row])},
         started,
     )
     print(
@@ -199,31 +195,14 @@ def cmd_decay(args: argparse.Namespace) -> int:
 def _decay(args: argparse.Namespace) -> None:
     started = time.monotonic()
     ts = args.t
-    report = decay_experiment(
-        args.n,
-        args.k,
-        ts,
-        args.samples,
-        _rng(args.seed),
-        exact_reference=not args.mc_reference,
-    )
-    out = _resolve_out(args.out)
-    stem = f"decay_n{args.n}_k{args.k}_seed{args.seed}"
-    path = os.path.join(out, f"{stem}.csv")
-    write_decay_csv(report, path, args.seed)
-    _write_manifest(
-        out,
-        stem,
+    report = decay_experiment(args.n, args.k, ts, args.samples, _rng(args.seed))
+    rows = [(r.t, r.distance, r.stderr, r.floor, r.samples, args.seed) for r in report.rows]
+    [path] = _record(
+        args,
         "decay",
-        args.seed,
-        {
-            "n": args.n,
-            "k": args.k,
-            "t": ts,
-            "samples": args.samples,
-            "exact_reference": report.exact_reference,
-        },
-        [os.path.basename(path)],
+        f"decay_n{args.n}_k{args.k}_seed{args.seed}",
+        {"n": args.n, "k": args.k, "t": ts, "samples": args.samples},
+        {".csv": _csv(DECAY_COLUMNS, rows)},
         started,
     )
     slope = fitted_log2_slope(report)
@@ -237,50 +216,38 @@ def _decay(args: argparse.Namespace) -> None:
 
 def cmd_distinguish(args: argparse.Namespace) -> int:
     ts = _parse_list("--t", args.t)
-    return _for_each(_distinguish, lambda a: CompressibleSource(a.n, a.t), args, t=ts)
+    return _for_each(_distinguish, lambda a: check_distinguish_args(a.n, a.t), args, t=ts)
 
 
 def _distinguish(args: argparse.Namespace) -> None:
     started = time.monotonic()
     rng = _rng(args.seed)
     l = args.l if args.l is not None else 3 * args.t + 2
-    source_report = distinguish(
-        CompressibleSource(args.n, args.t),
-        l,
-        args.epsilon_t,
-        args.trials,
-        rng,
-        thresholded=args.thresholded,
-    )
-    haar_report = distinguish(
-        CompressibleSource(args.n, args.n),
-        l,
-        args.epsilon_t,
-        args.trials,
-        rng,
-        thresholded=args.thresholded,
+    # the source arm draws first, then the Haar arm (t = n), from one stream
+    source_report, haar_report = (
+        distinguish(
+            CompressibleSource(args.n, t),
+            l,
+            args.epsilon_t,
+            args.trials,
+            rng,
+            thresholded=args.thresholded,
+        )
+        for t in (args.t, args.n)
     )
     row = AdvantageRow.from_reports(source_report, haar_report)
-    out = _resolve_out(args.out)
-    stem = f"distinguish_n{args.n}_t{args.t}_seed{args.seed}"
-    source_csv = os.path.join(out, f"{stem}_source.csv")
-    haar_csv = os.path.join(out, f"{stem}_haar.csv")
-    summary_json = os.path.join(out, f"{stem}.json")
-    write_trials_csv(source_report, source_csv)
-    write_trials_csv(haar_report, haar_csv)
-    write_advantage_json(
-        [row],
-        summary_json,
-        n=args.n,
-        trials=args.trials,
-        seed=args.seed,
-        epsilon_t=args.epsilon_t,
-    )
-    _write_manifest(
-        out,
-        stem,
+    summary = {
+        "schema_version": ATTACK_SCHEMA_VERSION,
+        "n": args.n,
+        "trials": args.trials,
+        "seed": args.seed,
+        "epsilon_t": args.epsilon_t,
+        "rows": [dataclasses.asdict(row)],
+    }
+    *_, summary_json = _record(
+        args,
         "distinguish",
-        args.seed,
+        f"distinguish_n{args.n}_t{args.t}_seed{args.seed}",
         {
             "n": args.n,
             "t": args.t,
@@ -289,7 +256,11 @@ def _distinguish(args: argparse.Namespace) -> None:
             "epsilon_t": args.epsilon_t,
             "thresholded": args.thresholded,
         },
-        [os.path.basename(p) for p in (source_csv, haar_csv, summary_json)],
+        {
+            "_source.csv": _csv(TRIAL_COLUMNS, enumerate(source_report.statistics)),
+            "_haar.csv": _csv(TRIAL_COLUMNS, enumerate(haar_report.statistics)),
+            ".json": _json(summary),
+        },
         started,
     )
     print(
@@ -321,20 +292,12 @@ def cmd_twirl_check(args: argparse.Namespace) -> int:
                 float(np.max(np.abs(twice - cliff))),
             )
         )
-    out = _resolve_out(args.out)
-    stem = f"twirl_check_n{args.n}_k{args.k}_seed{args.seed}"
-    path = os.path.join(out, f"{stem}.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("input,clifford_vs_haar,idempotence_error\n")
-        for i, gap, idem in rows:
-            fh.write(f"{i},{gap!r},{idem!r}\n")
-    _write_manifest(
-        out,
-        stem,
+    [path] = _record(
+        args,
         "twirl-check",
-        args.seed,
+        f"twirl_check_n{args.n}_k{args.k}_seed{args.seed}",
         {"n": args.n, "k": args.k, "inputs": args.inputs},
-        [os.path.basename(path)],
+        {".csv": _csv(TWIRL_COLUMNS, rows)},
         started,
     )
     max_gap = max(r[1] for r in rows)
@@ -349,17 +312,14 @@ def cmd_twirl_check(args: argparse.Namespace) -> int:
 def cmd_vandermonde(args: argparse.Namespace) -> int:
     started = time.monotonic()
     report = vandermonde_bound_check(args.k)
-    out = _resolve_out(args.out)
-    stem = f"vandermonde_k{args.k}"
-    path = os.path.join(out, f"{stem}.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("i,row_sum,bound,ratio\n")
-        for i, (s, b, r) in enumerate(
-            zip(report.row_sums, report.bounds, report.ratios), start=1
-        ):
-            fh.write(f"{i},{s!r},{b!r},{r!r}\n")
-    _write_manifest(
-        out, stem, "vandermonde", None, {"k": args.k}, [os.path.basename(path)], started
+    rows = zip(itertools.count(1), report.row_sums, report.bounds, report.ratios)
+    [path] = _record(
+        args,
+        "vandermonde",
+        f"vandermonde_k{args.k}",
+        {"k": args.k},
+        {".csv": _csv(VANDERMONDE_COLUMNS, rows)},
+        started,
     )
     verdict = "all bounds satisfied" if report.all_ok else "BOUND VIOLATED"
     print(
@@ -394,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "frame-potential",
         help="Monte Carlo frame potential of an ensemble",
-        epilog="CSV columns: ensemble,n,k,samples,estimate,stderr,seed.",
+        epilog=f"CSV columns: {FRAME_POTENTIAL_COLUMNS}.",
     )
     p.add_argument("--ensemble", choices=["haar", "clifford", "homeopathy"], required=True)
     p.add_argument("--n", type=int, required=True)
@@ -408,25 +368,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "decay",
         help="Choi-distance decay of the sandwiched ensemble versus t",
-        epilog="CSV columns: t,distance,stderr,floor,samples,seed.",
+        epilog=f"CSV columns: {DECAY_COLUMNS}.",
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", required=True, help=LIST_HELP)
     p.add_argument("--t", required=True, help="range '1..5' or list '1,3,5'")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument(
-        "--mc-reference",
-        action="store_true",
-        help="estimate the reference moment by sampling instead of the exact form",
-    )
     add_out(p)
     p.set_defaults(func=cmd_decay)
 
     p = sub.add_parser(
         "distinguish",
         help="Bell-difference distinguisher advantage per t",
-        epilog="CSV columns (per arm): trial,statistic. JSON: advantage row with "
+        epilog=f"CSV columns (per arm): {TRIAL_COLUMNS}. JSON: advantage row with "
         "means, stderr, l, copies.",
     )
     p.add_argument("--n", type=int, required=True)
@@ -446,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "twirl-check",
         help="compare Clifford and Haar twirls on random inputs",
-        epilog="CSV columns: input,clifford_vs_haar,idempotence_error.",
+        epilog=f"CSV columns: {TWIRL_COLUMNS}.",
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
@@ -458,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "vandermonde",
         help="exact-rational inverse row-sum bounds",
-        epilog="CSV columns: i,row_sum,bound,ratio.",
+        epilog=f"CSV columns: {VANDERMONDE_COLUMNS}.",
     )
     p.add_argument("--k", type=int, required=True)
     add_out(p)

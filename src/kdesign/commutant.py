@@ -511,8 +511,8 @@ def vandermonde_bound_check(k: int) -> VandermondeReport:
 ARCHIVE_SCHEMA_VERSION = 1
 
 
-def export_weingarten_table(table: WeingartenTable, path: str) -> None:
-    """Write a diff-friendly JSON archive with exact (hex) float serialization."""
+def export_weingarten_table(table: WeingartenTable) -> str:
+    """Diff-friendly JSON archive text with exact (hex) float serialization."""
     if table.weingarten is None:
         raise ValidationError("table has no Weingarten part; build it with weingarten_table")
     doc = {
@@ -530,9 +530,7 @@ def export_weingarten_table(table: WeingartenTable, path: str) -> None:
         "gram": [[v.hex() for v in row] for row in table.gram.tolist()],
         "weingarten": [[v.hex() for v in row] for row in table.weingarten.tolist()],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
 def load_weingarten_table(path: str) -> WeingartenTable:

@@ -90,7 +90,7 @@ def haar_state(n: int, rng: np.random.Generator) -> StateVector:
     return StateVector(n, v / np.linalg.norm(v))
 
 
-def haar_unitary(d: int, rng: np.random.Generator) -> DenseOperator:
+def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Exactly Haar-distributed unitary: QR of a Ginibre matrix, phases fixed.
 
     The diagonal of R is rotated onto the positive axis, which removes the
@@ -102,7 +102,7 @@ def haar_unitary(d: int, rng: np.random.Generator) -> DenseOperator:
     q, r = np.linalg.qr(g)
     ph = np.diagonal(r).copy()
     ph /= np.abs(ph)
-    return DenseOperator(d, q * ph)
+    return q * ph
 
 
 def expectation(psi, p: PauliString) -> float:

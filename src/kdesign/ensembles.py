@@ -124,15 +124,14 @@ def _dense_clifford_group(n: int) -> tuple[DenseOperator, ...]:
     return tuple(DenseOperator(1 << n, u) for u in mats)
 
 
-def sample(spec: EnsembleSpec, rng: np.random.Generator) -> DenseOperator:
-    """One unitary drawn from the spec's distribution, as a dense operator."""
+def sample(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:
+    """One unitary drawn from the spec's distribution, as a (d, d) array."""
     if isinstance(spec, Haar):
         return haar_unitary(1 << spec.n, rng)
     if isinstance(spec, (CliffordEnumerated, FixedList)):
         els = enumerate_unitaries(spec)
-        return els[int(rng.integers(len(els)))]
-    u = next(_samples(spec, 1, rng))
-    return DenseOperator(len(u), u)
+        return els[int(rng.integers(len(els)))].matrix
+    return next(_samples(spec, 1, rng))
 
 
 def _samples(spec: EnsembleSpec, size: int, rng: np.random.Generator):
@@ -172,7 +171,7 @@ def _draw(spec: EnsembleSpec, rng: np.random.Generator, tableaus: dict[int, list
         c1 = _draw(CliffordUniform(spec.n), rng, tableaus)
         eye = np.eye(1 << (spec.n - spec.t))
         return lambda dense: c1(dense) @ np.kron(eye, inner(dense)) @ c2(dense)
-    u = sample(spec, rng).matrix
+    u = sample(spec, rng)
     return lambda dense: u
 
 

@@ -65,7 +65,6 @@ class DecayReport:
     n: int
     k: int
     rows: tuple[DecayRow, ...]
-    exact_reference: bool
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -164,29 +163,25 @@ def decay_experiment(
     t_list: list[int],
     samples: int,
     rng: np.random.Generator,
-    exact_reference: bool = True,
 ) -> DecayReport:
     """Distance of E_t = {C1 (U_t x I) C2} from Haar, for each t.
 
-    The Haar reference is the closed-form Choi state when available
-    (exact_reference), else a shared Monte Carlo estimate at matched size.
+    The Haar reference is the closed-form Choi state; choi_trace_distance
+    is the two-sided Monte Carlo path.
     """
     ts = sorted(set(t_list))
     if not ts:
         raise ValidationError("need at least one t")
     if ts[0] < 1 or ts[-1] > n:
         raise ValidationError("every t must satisfy 1 <= t <= n")
-    ref = exact_moment_choi(Haar(n), k) if exact_reference else None
-    ref_batches = None
-    if ref is None:
-        ref_batches, _ = _batched_choi(Haar(n), k, samples, rng)
+    ref = exact_moment_choi(Haar(n), k)
     rows = []
     for t in ts:
         spec = Homeopathy(n, t, Haar(t))
         batches, used = _batched_choi(spec, k, samples, rng)
-        value, stderr, floor = _distance_from_batches(batches, ref_batches, ref, rng)
+        value, stderr, floor = _distance_from_batches(batches, None, ref, rng)
         rows.append(DecayRow(t, value, stderr, floor, used))
-    return DecayReport(n, k, tuple(rows), ref is not None)
+    return DecayReport(n, k, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +221,3 @@ def fitted_log2_slope(report: DecayReport) -> float | None:
     ts = np.array([r.t for r in rows], dtype=float)
     logs = np.log2([r.distance for r in rows])
     return float(np.polyfit(ts, logs, 1)[0])
-
-
-def write_decay_csv(report: DecayReport, path: str, seed: int) -> None:
-    lines = ["t,distance,stderr,floor,samples,seed"]
-    for r in report.rows:
-        lines.append(f"{r.t},{r.distance!r},{r.stderr!r},{r.floor!r},{r.samples},{seed}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

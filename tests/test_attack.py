@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from scipy import stats as scistats
 
+from kdesign import cli
 from kdesign.attack import (
-    AdvantageRow,
     AttackReport,
     CompressibleSource,
     _nontrivial_subspace,
@@ -16,8 +18,6 @@ from kdesign.attack import (
     distinguish,
     make_compressible,
     sample_attack_statistic,
-    write_advantage_json,
-    write_trials_csv,
 )
 from kdesign.dense import (
     StateVector,
@@ -251,21 +251,20 @@ def test_advantage_curve_rows():
 
 
 def test_report_serialization(tmp_path):
-    rng = np.random.default_rng(223)
-    rep = distinguish(CompressibleSource(3, 0), 2, 0.5, 20, rng)
-    p = tmp_path / "trials.csv"
-    write_trials_csv(rep, str(p))
-    lines = p.read_text().strip().split("\n")
+    # the CLI writes the trials CSV and the summary JSON; the source arm
+    # draws first from the --seed stream
+    argv = ["distinguish", "--n", "3", "--t", "0", "--trials", "20", "--seed", "223"]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    rep = distinguish(CompressibleSource(3, 0), 2, 0.5, 20, np.random.default_rng(223))
+    lines = (tmp_path / "distinguish_n3_t0_seed223_source.csv").read_text().strip().split("\n")
     assert lines[0] == "trial,statistic"
     assert len(lines) == 21
-    assert float(lines[1].split(",")[1]) == rep.statistics[0]
+    assert [float(line.split(",")[1]) for line in lines[1:]] == list(rep.statistics)
 
-    rows = [AdvantageRow(0, 2, 10, 0.99, 0.01, 0.98, 0.02)]
-    jp = tmp_path / "adv.json"
-    write_advantage_json(rows, str(jp), n=3, trials=20, seed=7, epsilon_t=0.5)
-    import json
-
-    doc = json.loads(jp.read_text())
+    doc = json.loads((tmp_path / "distinguish_n3_t0_seed223.json").read_text())
     assert doc["schema_version"] == 1
-    assert doc["rows"][0]["advantage"] == 0.98
-    assert doc["rows"][0]["copies"] == 10
+    assert (doc["n"], doc["trials"], doc["seed"], doc["epsilon_t"]) == (3, 20, 223, 0.5)
+    [row] = doc["rows"]
+    assert (row["l"], row["copies"]) == (2, 10)
+    assert row["source_mean"] == rep.mean
+    assert row["advantage"] == row["source_mean"] - row["haar_mean"]

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import json
 import re
 import shlex
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kdesign import cli
 from kdesign.commutant import load_weingarten_table
@@ -303,6 +307,9 @@ BAD_LATER_VALUE = {
     "commutant-n": ["commutant", "--k", "2,3", "--n", "1,0"],
     "decay-k": ["decay", "--n", "5", "--k", "1,2", "--t", "1", "--samples", "20", "--seed", "1"],
     "distinguish-t": ["distinguish", "--n", "3", "--t", "0,4", "--trials", "2", "--seed", "1"],
+    # within CompressibleSource's limit, past the 4^n Bell tables'
+    "distinguish-n7": ["distinguish", "--n", "7", "--t", "0,1", "--trials", "2", "--seed", "1"],
+    "distinguish-n8": ["distinguish", "--n", "8", "--t", "0", "--trials", "2", "--seed", "1"],
 }
 
 
@@ -316,7 +323,10 @@ def test_bad_later_value_exits_2_before_any_run(tmp_path, monkeypatch, capsys, n
     monkeypatch.setattr(cli, f"_{argv[0]}", never)
     out = tmp_path / "out"
     assert run(argv + ["--out", str(out)]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if name.startswith("distinguish-n"):
+        assert f"n={argv[2]}" in err
     assert not out.exists()
 
 
@@ -340,3 +350,114 @@ def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
     assert not (tmp_path / "D").exists()
+
+
+# one small run of every subcommand
+EVERY_SUBCOMMAND = {
+    "commutant": ["commutant", "--k", "2", "--n", "1,2"],
+    "frame-potential": FP + ["haar", "--n", "1"],
+    "decay": DECAY + ["--k", "1", "--t", "1..2"],
+    "distinguish": ["distinguish", "--n", "2", "--t", "0,1", "--trials", "3", "--seed", "1"],
+    "twirl-check": ["twirl-check", "--n", "1", "--k", "2", "--inputs", "2", "--seed", "1"],
+    "vandermonde": ["vandermonde", "--k", "3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVERY_SUBCOMMAND))
+def test_manifests_list_exactly_the_files_written(tmp_path, name):
+    assert run(EVERY_SUBCOMMAND[name] + ["--out", str(tmp_path)]) == 0
+    written = {p.name for p in tmp_path.iterdir()}
+    manifests = {n for n in written if n.endswith(".manifest.json")}
+    assert manifests
+    listed = set()
+    for m in manifests:
+        doc = json.loads((tmp_path / m).read_text())
+        assert doc["subcommand"] == name
+        listed.update(doc["artifacts"])
+        assert all(a.startswith(m.removesuffix(".manifest.json")) for a in doc["artifacts"])
+    assert listed == written - manifests
+
+
+@pytest.mark.parametrize("name", sorted(set(EVERY_SUBCOMMAND) - {"commutant"}))
+def test_csv_headers_match_help_epilog(tmp_path, capsys, name):
+    assert run(EVERY_SUBCOMMAND[name] + ["--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        run([name, "--help"])
+    help_words = capsys.readouterr().out.split()
+    headers = {p.read_text().split("\n")[0] for p in tmp_path.glob("*.csv")}
+    assert headers
+    for header in headers:
+        assert header + "." in help_words
+
+
+# argv fuzzing: small accepted values, values just past each limit, and
+# malformed lists; accepted sizes stay small enough to run each example fast
+MALFORMED_LISTS = ["", "x", "1..", "..2", "3..1", "1,,2", "1.5"]
+
+
+def _mostly(good, bad):
+    """`good` three times in four, so most examples carry at most one bad value."""
+    return st.integers(0, 3).flatmap(lambda i: bad if i == 0 else good)
+
+
+def _ints(valid, bad=(0, -1)):
+    return _mostly(st.sampled_from(valid), st.sampled_from([*bad, "x"])).map(str)
+
+
+def _lists(valid, bad=(0, -1)):
+    values = st.lists(_ints(valid, bad), min_size=1, max_size=3).map(",".join)
+    return _mostly(values, st.sampled_from(MALFORMED_LISTS))
+
+
+def _optional(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+@st.composite
+def _argv(draw):
+    name = draw(st.sampled_from(sorted(EVERY_SUBCOMMAND)))
+    seed = ["--seed", draw(_ints([0, 7], (-1,)))]
+    if name == "commutant":
+        return [name, "--k", draw(_lists([1, 2, 3], (0, -1, 6))), "--n", draw(_lists([1, 2, 40]))]
+    if name == "vandermonde":
+        return [name, "--k", draw(_ints([1, 9, 16], (0, -1, 17)))]
+    if name == "frame-potential":
+        ensemble = _mostly(st.sampled_from(["haar", "clifford", "homeopathy"]), st.just("x"))
+        argv = [name, "--ensemble", draw(ensemble)]
+        argv += ["--n", draw(_ints([1, 2, 3], (0, -1, 13))), "--k", draw(_ints([1, 2, 3]))]
+        argv += draw(_optional("--t", _ints([1, 2], (0, -1, 4))))
+        return argv + ["--samples", draw(_ints([2, 40], (1, 0, -1)))] + seed
+    if name == "decay":
+        n = draw(_mostly(st.sampled_from([1, 2, 3]), st.sampled_from([0, -1, 13])))
+        kmax = 3 // n if 1 <= n <= 3 else 3  # n * k <= 3 whenever the Choi size is accepted
+        argv = [name, "--n", str(n), "--k", draw(_lists(list(range(1, kmax + 1)), (0, -1, 7)))]
+        argv += ["--t", draw(_lists([1, 2, 3], (0, -1, 4)))]
+        return argv + ["--samples", draw(_ints([10, 40], (9, 0, -1)))] + seed
+    if name == "distinguish":
+        argv = [name, "--n", draw(_ints([1, 2, 4], (0, -1, 7, 9)))]
+        argv += ["--t", draw(_lists([0, 1, 4], (-1, 5))), "--trials", draw(_ints([1, 3]))]
+        argv += draw(_optional("--l", _ints([1, 14])))
+        eps = _mostly(st.sampled_from(["0.5", "1"]), st.sampled_from(["0", "-1", "2", "nan", "inf"]))
+        argv += ["--epsilon-t", draw(eps)]
+        return argv + draw(st.sampled_from([[], ["--thresholded"]])) + seed
+    argv = [name, "--n", draw(_ints([1, 2], (0, -1, 13)))]
+    argv += ["--k", draw(_ints([1, 2, 3], (0, -1, 6)))]
+    return argv + draw(_optional("--inputs", _ints([1, 2]))) + seed
+
+
+@settings(max_examples=500, deadline=None)
+@given(_argv())
+def test_fuzzed_argv_exits_cleanly(argv):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = run(argv + ["--out", str(out)])
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+        assert code in (0, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert not out.exists()

@@ -65,11 +65,11 @@ def test_haar_state_first_moment():
 def test_haar_unitary_is_unitary_and_trace_moment():
     rng = np.random.default_rng(103)
     u = haar_unitary(7, rng)
-    assert u.is_unitary(1e-12)
+    assert DenseOperator(7, u).is_unitary(1e-12)
     m = 10_000
     traces = np.empty(m)
     for i in range(m):
-        traces[i] = abs(np.trace(haar_unitary(4, rng).matrix)) ** 2
+        traces[i] = abs(np.trace(haar_unitary(4, rng))) ** 2
     se = traces.std(ddof=1) / np.sqrt(m)
     assert abs(traces.mean() - 1.0) < 3 * se
 
@@ -257,9 +257,9 @@ def test_commutation_frequency_identity():
 
 def test_query_output_state_single_unitary():
     rng = np.random.default_rng(21)
-    u = haar_unitary(4, rng).matrix  # 2-qubit main wire
-    v1 = haar_unitary(16, rng).matrix  # plus one ancilla qubit... full register dim 16
-    v2 = haar_unitary(16, rng).matrix
+    u = haar_unitary(4, rng)  # 2-qubit main wire
+    v1 = haar_unitary(16, rng)  # plus one ancilla qubit... full register dim 16
+    v2 = haar_unitary(16, rng)
     st = query_output_state(u, [v1, v2])
     big_u = np.kron(np.eye(4), u)
     e0 = np.zeros(16, dtype=complex)
@@ -270,7 +270,7 @@ def test_query_output_state_single_unitary():
 
 def test_query_output_state_identity_queries():
     rng = np.random.default_rng(23)
-    u = haar_unitary(8, rng).matrix
+    u = haar_unitary(8, rng)
     st = query_output_state(u, [np.eye(8)])
     np.testing.assert_allclose(st, u[:, 0], atol=1e-12)
     with pytest.raises(ValidationError):

@@ -69,8 +69,7 @@ def test_samples_are_unitary(spec):
     rng = np.random.default_rng(11)
     for _ in range(5):
         u = sample(spec, rng)
-        assert u.dim == 1 << spec.n_qubits
-        assert u.is_unitary(1e-12)
+        assert DenseOperator(1 << spec.n_qubits, u).is_unitary(1e-12)
 
 
 def test_enumerate_unitaries():
@@ -85,7 +84,7 @@ def test_config_round_trip():
     assert from_config(to_config(spec)) == spec
 
     rng = np.random.default_rng(13)
-    fixed = FixedList((haar_unitary(4, rng), haar_unitary(4, rng)))
+    fixed = FixedList(tuple(DenseOperator(4, haar_unitary(4, rng)) for _ in range(2)))
     back = from_config(to_config(fixed))
     assert isinstance(back, FixedList)
     for a, b in zip(fixed.unitaries, back.unitaries):
@@ -134,7 +133,7 @@ def test_malformed_config_is_validation_error(cfg):
 def test_batch_is_bit_identical_to_sequential_samples(spec):
     batched, sequential = np.random.default_rng(61), np.random.default_rng(61)
     us = np.stack(list(_samples(spec, 20, batched)))
-    one_by_one = np.stack([sample(spec, sequential).matrix for _ in range(20)])
+    one_by_one = np.stack([sample(spec, sequential) for _ in range(20)])
     assert us.tobytes() == one_by_one.tobytes()
     assert batched.bit_generator.state == sequential.bit_generator.state
 
@@ -147,8 +146,8 @@ def test_frame_potential_passes_keep_the_stream():
     ref = np.random.default_rng(67)
     vals = []
     for _ in range(600):
-        u = sample(spec, ref).matrix
-        v = sample(spec, ref).matrix
+        u = sample(spec, ref)
+        v = sample(spec, ref)
         vals.append(abs(np.vdot(u, v)) ** 2)
     assert est == np.mean(vals)
     assert err == np.std(vals, ddof=1) / np.sqrt(600)
@@ -206,13 +205,13 @@ def test_left_invariance_of_frame_potential():
     # pre-multiplying by a fixed Clifford leaves the estimate unchanged
     rng = np.random.default_rng(37)
     base = Homeopathy(2, 1, Haar(1))
-    fixed = sample(CliffordUniform(2), rng).matrix
+    fixed = sample(CliffordUniform(2), rng)
 
     def shifted_potential(nsamp):
         vals = np.empty(nsamp)
         for i in range(nsamp):
-            u = fixed @ sample(base, rng).matrix
-            v = fixed @ sample(base, rng).matrix
+            u = fixed @ sample(base, rng)
+            v = fixed @ sample(base, rng)
             vals[i] = abs(np.vdot(u, v)) ** 4
         return vals.mean(), vals.std(ddof=1) / np.sqrt(nsamp)
 
@@ -224,8 +223,8 @@ def test_left_invariance_of_frame_potential():
 def test_moment_choi_fixed_single_unitary_is_pure():
     rng = np.random.default_rng(41)
     u = haar_unitary(4, rng)
-    j = moment_choi(FixedList((u,)), 1, 3, rng)
-    v = u.matrix.reshape(-1) / 2.0
+    j = moment_choi(FixedList((DenseOperator(4, u),)), 1, 3, rng)
+    v = u.reshape(-1) / 2.0
     np.testing.assert_allclose(j, np.outer(v, v.conj()), atol=1e-12)
     assert np.trace(j).real == pytest.approx(1.0, abs=1e-12)
 
@@ -324,7 +323,7 @@ def test_outer_average_is_the_same_across_chunks(monkeypatch, batch):
     # 7 samples in chunks of `batch` vectors against the default single chunk
     spec = Homeopathy(2, 1, Haar(1))
     rng = np.random.default_rng(71)
-    queries = [haar_unitary(8, rng).matrix for _ in range(2)]  # one ancilla qubit
+    queries = [haar_unitary(8, rng) for _ in range(2)]  # one ancilla qubit
 
     def both():
         return (
@@ -357,7 +356,7 @@ def test_too_wide_spec_is_rejected_before_any_draw(spec):
 def test_exact_haar_choi_past_the_haar_twirl_cap():
     # k = 5 > MAX_HAAR_COPIES: the cap is haar_twirl's, the Haar basis has none
     j = exact_moment_choi(Haar(1), 5)
-    u = haar_unitary(2, np.random.default_rng(73)).matrix
+    u = haar_unitary(2, np.random.default_rng(73))
     v = np.kron(reduce(np.kron, [u] * 5), reduce(np.kron, [u.conj()] * 5))
     np.testing.assert_allclose(v @ j @ v.conj().T, j, atol=1e-12)
 
@@ -365,9 +364,9 @@ def test_exact_haar_choi_past_the_haar_twirl_cap():
 def test_adaptive_output_fixed_unitary_is_pure():
     rng = np.random.default_rng(53)
     u = haar_unitary(4, rng)
-    vs = [haar_unitary(8, rng).matrix for _ in range(2)]  # one ancilla qubit
-    rho = adaptive_output_state(FixedList((u,)), vs)
-    psi = query_output_state(u.matrix, vs)
+    vs = [haar_unitary(8, rng) for _ in range(2)]  # one ancilla qubit
+    rho = adaptive_output_state(FixedList((DenseOperator(4, u),)), vs)
+    psi = query_output_state(u, vs)
     np.testing.assert_allclose(rho, np.outer(psi, psi.conj()), atol=1e-12)
 
 
@@ -379,7 +378,7 @@ def test_adaptive_output_first_moment_exact():
 
 def test_adaptive_output_monte_carlo_close_to_enumerated():
     rng = np.random.default_rng(59)
-    vs = [haar_unitary(4, rng).matrix for _ in range(2)]
+    vs = [haar_unitary(4, rng) for _ in range(2)]
     exact = adaptive_output_state(CliffordEnumerated(1), vs)
     est = adaptive_output_state(CliffordEnumerated(1), vs, samples=4000, rng=rng)
     assert 0.5 * np.abs(np.linalg.eigvalsh(est - exact)).sum() < 0.08

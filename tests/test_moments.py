@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from kdesign import cli
 from kdesign.dense import DenseOperator, haar_unitary
 from kdesign.ensembles import (
     CliffordEnumerated,
@@ -25,7 +26,6 @@ from kdesign.moments import (
     fitted_log2_slope,
     monotone_above_floor,
     trace_distance,
-    write_decay_csv,
 )
 
 
@@ -67,7 +67,6 @@ def test_decay_experiment_null_case():
     # so every row sits at the statistical floor
     rng = np.random.default_rng(89)
     report = decay_experiment(2, 1, [1, 2], 500, rng)
-    assert report.exact_reference
     assert [r.t for r in report.rows] == [1, 2]
     for r in report.rows:
         assert not r.above_floor
@@ -94,7 +93,7 @@ def synthetic_report(distances, floors, errs):
         DecayRow(t + 1, d, e, f, 1000)
         for t, (d, f, e) in enumerate(zip(distances, floors, errs))
     )
-    return DecayReport(5, 1, rows, True)
+    return DecayReport(5, 1, rows)
 
 
 def test_decay_analysis_helpers():
@@ -121,21 +120,22 @@ def test_decay_analysis_helpers():
 
 
 def test_decay_csv_round_trip_and_determinism(tmp_path):
-    def run():
-        rng = np.random.default_rng(101)
-        return decay_experiment(2, 1, [1, 2], 300, rng)
-
-    rep1, rep2 = run(), run()
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_decay_csv(rep1, str(p1), seed=101)
-    write_decay_csv(rep2, str(p2), seed=101)
+    # the CLI writes the decay CSV from decay_experiment at the --seed stream
+    argv = ["decay", "--n", "2", "--k", "1", "--t", "1..2", "--samples", "300", "--seed", "101"]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert cli.main(argv + ["--out", str(a)]) == 0
+    assert cli.main(argv + ["--out", str(b)]) == 0
+    p1, p2 = a / "decay_n2_k1_seed101.csv", b / "decay_n2_k1_seed101.csv"
     assert p1.read_bytes() == p2.read_bytes()
+    rep = decay_experiment(2, 1, [1, 2], 300, np.random.default_rng(101))
     lines = p1.read_text().strip().split("\n")
     assert lines[0] == "t,distance,stderr,floor,samples,seed"
-    assert len(lines) == 3
-    first = lines[1].split(",")
-    assert first[0] == "1" and first[-1] == "101"
-    assert float(first[1]) == rep1.rows[0].distance
+    assert len(lines) == 1 + len(rep.rows) == 3
+    for line, row in zip(lines[1:], rep.rows):
+        t, distance, stderr, floor, samples, seed = line.split(",")
+        assert (int(t), int(samples), seed) == (row.t, row.samples, "101")
+        assert float(distance) == row.distance
+        assert (float(stderr), float(floor)) == (row.stderr, row.floor)
 
 
 def test_adaptive_distance_identity_query_null():
@@ -160,6 +160,6 @@ def test_adaptive_distance_deterministic_gap():
 
 def test_adaptive_distance_homeopathy_identity():
     rng = np.random.default_rng(109)
-    qs = [haar_unitary(8, rng).matrix for _ in range(2)]  # one ancilla qubit
+    qs = [haar_unitary(8, rng) for _ in range(2)]  # one ancilla qubit
     est = adaptive_distance(Homeopathy(2, 2, Haar(2)), Haar(2), qs, 1500, rng)
     assert not est.above_floor
