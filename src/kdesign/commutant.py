@@ -401,27 +401,21 @@ def _cycle_count(perm: tuple[int, ...]) -> int:
     return cycles
 
 
-def _compose_perm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """(a after b): c -> a[b[c]]."""
-    return tuple(a[b[c]] for c in range(len(a)))
-
-
-def _invert_perm(a: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(a)
-    for c, p in enumerate(a):
-        inv[p] = c
-    return tuple(inv)
-
-
 def permutation_gram(k: int, d: int) -> np.ndarray:
-    """Lambda[pi, sigma] = tr(T_pi^dagger T_sigma) = d^cycles(pi^-1 sigma)."""
-    perms = list(itertools.permutations(range(k)))
-    lam = np.empty((len(perms), len(perms)))
-    for i, p in enumerate(perms):
-        pi = _invert_perm(p)
-        for j, q in enumerate(perms):
-            lam[i, j] = float(d) ** _cycle_count(_compose_perm(pi, q))
-    return lam
+    """Lambda[pi, sigma] = tr(T_pi^dagger T_sigma) = d^cycles(pi^-1 sigma).
+
+    One cycle count per element of S_k, looked up for every product
+    pi^-1 sigma through a table from its base-k digits to its index."""
+    perms = np.array(list(itertools.permutations(range(k))), dtype=np.intp)
+    inverses = np.argsort(perms, axis=1)
+    digits = np.zeros((len(perms), len(perms)), dtype=np.intp)
+    for c in range(k):
+        digits *= k
+        digits += inverses[:, perms[:, c]]
+    rank = np.zeros(k**k, dtype=np.intp)
+    rank[perms @ k ** np.arange(k - 1, -1, -1)] = np.arange(len(perms))
+    power = np.array([float(d) ** _cycle_count(p) for p in perms.tolist()])
+    return power[rank[digits]]
 
 
 @lru_cache(maxsize=None)

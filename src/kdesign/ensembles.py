@@ -7,12 +7,15 @@ Samplers produce dense unitaries, which frame_potential pairs.  Every moment
 operator comes from one of two kernels: _outer_average, E|v><v| over draws
 or over the elements of a finite spec (moment_choi, adaptive_output_state,
 finite exact_moment_choi), and _commutant_choi over a commutant basis (Haar
-and uniform Clifford exact_moment_choi).
+and uniform Clifford exact_moment_choi).  _outer_average sums the stacks of
+one vector kernel, _vector_chunks, which also hands the sampled Choi vectors
+themselves to the moments module (_choi_vectors).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Union
@@ -265,6 +268,11 @@ def frame_potential(
         raise ValidationError("need k >= 1")
     if samples < 2:
         raise ValidationError("need at least two samples for a standard error")
+    # |tr(U^dag V)|^2k <= d^2k, and the standard error squares it
+    if isinstance(spec, EnsembleSpec) and 4 * k * spec.n_qubits >= sys.float_info.max_exp:
+        raise ValidationError(
+            f"k = {k} on {spec.n_qubits} qubits overflows float64: d^(4k) >= 2^1024"
+        )
     us = _samples(spec, 2 * samples, rng)
     vals = np.array([abs(np.vdot(u, v)) ** (2 * k) for u, v in zip(us, us)])
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
@@ -311,19 +319,35 @@ def _unitaries(spec: EnsembleSpec, samples: int | None, rng: np.random.Generator
     return samples, _samples(spec, samples, rng)
 
 
-def _outer_average(spec, samples, rng, dim: int, vector) -> np.ndarray:
-    """E |v(U)><v(U)| over the unitaries of _unitaries, as a checked state;
-    one GEMM per batch of vectors with at most CHUNK_ENTRIES entries."""
+def _vector_chunks(spec, samples, rng, dim: int, vector, rows: int):
+    """The vectors v(U) over the unitaries of _unitaries, in draw order,
+    stacked into (m, dim) arrays of at most `rows` rows."""
     count, us = _unitaries(spec, samples, rng)
-    acc = np.zeros((dim, dim), dtype=complex)
-    batch = max(1, CHUNK_ENTRIES // dim)
-    for done in range(0, count, batch):
-        vs = np.empty((min(batch, count - done), dim), dtype=complex)
+    for done in range(0, count, rows):
+        vs = np.empty((min(rows, count - done), dim), dtype=complex)
         for s in range(len(vs)):
             vs[s] = vector(next(us))
+        yield vs
+
+
+def _outer_average(spec, samples, rng, dim: int, vector) -> np.ndarray:
+    """E |v(U)><v(U)| over the unitaries of _unitaries, as a checked state;
+    one GEMM per stack of vectors with at most CHUNK_ENTRIES entries."""
+    acc = np.zeros((dim, dim), dtype=complex)
+    count = 0
+    for vs in _vector_chunks(spec, samples, rng, dim, vector, max(1, CHUNK_ENTRIES // dim)):
         acc += vs.T @ vs.conj()
+        count += len(vs)
     acc /= count
     return _checked_choi(acc)
+
+
+def _choi_vectors(spec: EnsembleSpec, k: int, samples: int, rng: np.random.Generator) -> np.ndarray:
+    """The (samples, d^2k) stack of Choi vectors whose outer products
+    moment_choi averages, drawn from the stream as moment_choi draws them."""
+    _, big = _choi_dims(spec, k)
+    (vs,) = _vector_chunks(spec, samples, rng, big * big, _choi_vector(k, big), samples)
+    return vs
 
 
 def _checked_choi(j: np.ndarray) -> np.ndarray:
@@ -331,10 +355,13 @@ def _checked_choi(j: np.ndarray) -> np.ndarray:
     transpose does not alias j) and check its trace."""
     j += j.conj().T
     j *= 0.5
-    tr = np.trace(j).real
+    _check_trace(np.trace(j).real)
+    return j
+
+
+def _check_trace(tr: float) -> None:
     if abs(tr - 1.0) > 1e-9:
         raise InternalConsistencyError(f"trace {tr} drifted from 1")
-    return j
 
 
 def exact_moment_choi(spec: EnsembleSpec, k: int) -> np.ndarray:

@@ -6,6 +6,28 @@ channels.  Plug-in trace norms of noisy estimates are biased upward, so
 every estimate carries an empirical null floor calibrated by a split-half
 comparison at matched sample size; claims are made only above the floor.
 Standard errors come from a batch-means bootstrap.
+
+Every estimate is a weighted sum of outer products: a batch's Choi state
+averages |v><v| over its `per` Choi vectors, and a bootstrap resample
+weighs each batch by how often it was drawn.  For weights w >= 0 on r
+vectors and a reference c I in dimension D = d^2k,
+
+    || sum_i w_i |v_i><v_i| - c I ||_1 = sum_j |mu_j - c| + (D - r) |c|,
+
+with mu the eigenvalues of the r x r Gram matrix
+K = diag(sqrt w) [<v_i|v_j>] diag(sqrt w), which shares the nonzero
+spectrum of the sum.  So a trace norm takes one of two routes:
+
+- r x r: a one-sided row whose reference is exactly c I (the Haar
+  reference at k = 1, found by an exact array test) and whose S samples
+  number fewer than D keeps its Choi vectors and their S x S Gram matrix.
+  Its value and bootstrap draws then take eigenvalues of r x r blocks,
+  r <= S < D.
+- D x D, through trace_distance: everything else.  That is the
+  split-half floor (its weights have both signs), two-sided estimates,
+  other references and rows with S >= D, which keep dense batch Choi
+  states.  Their means and differences are formed in two reused buffers,
+  in the order sum() adds them.
 """
 
 from __future__ import annotations
@@ -19,6 +41,8 @@ from .ensembles import (
     EnsembleSpec,
     Haar,
     Homeopathy,
+    _check_trace,
+    _choi_vectors,
     adaptive_output_state,
     exact_moment_choi,
     moment_choi,
@@ -67,60 +91,118 @@ class DecayReport:
     rows: tuple[DecayRow, ...]
 
 
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """(1/2)||a - b||_1 for Hermitian a, b."""
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(a - b)).sum())
+def trace_distance(a: np.ndarray, b: np.ndarray | None = None) -> float:
+    """(1/2)||a - b||_1 for Hermitian a, b; (1/2)||a||_1 without b."""
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(a if b is None else a - b)).sum())
 
 
-def _mean(mats: list[np.ndarray]) -> np.ndarray:
-    return sum(mats) / len(mats)
+def _gram_trace_norm(gram: np.ndarray, w: np.ndarray, c: float, dim: int) -> float:
+    """||sum_i w_i |v_i><v_i| - c I||_1 in dimension dim, for weights w >= 0,
+    from gram[i, j] = <v_i|v_j> (see the module docstring).  Vectors of
+    weight 0 drop out.  With r > dim, K has r - dim more zero eigenvalues,
+    whose |0 - c| terms the negative (dim - r)|c| takes back."""
+    keep = np.flatnonzero(w)
+    s = np.sqrt(w[keep])
+    k = gram[np.ix_(keep, keep)]
+    k *= s[:, None]
+    k *= s
+    return float(np.abs(np.linalg.eigvalsh(k) - c).sum()) + (dim - len(keep)) * abs(c)
+
+
+def _scalar(ref: np.ndarray) -> float | None:
+    """c when ref is exactly c I, else None; no tolerance."""
+    diag = np.diagonal(ref)
+    c = diag[0]
+    exact = c.imag == 0 and np.all(diag == c) and np.count_nonzero(ref) == np.count_nonzero(diag)
+    return float(c.real) if exact else None
 
 
 def _batched_choi(
-    spec: EnsembleSpec, k: int, samples: int, rng: np.random.Generator
-) -> tuple[list[np.ndarray], int]:
+    spec: EnsembleSpec, k: int, samples: int, rng: np.random.Generator, vectors: bool = False
+) -> tuple[list[np.ndarray] | np.ndarray, int]:
+    """NUM_BATCHES Monte Carlo Choi estimates and the samples they use.
+
+    With `vectors` and fewer samples than the Choi dimension, they come as
+    one (NUM_BATCHES, per, D) stack of Choi vectors, each batch's trace
+    checked on its |v|^2; else as dense moment_choi states.  Both draw the
+    same stream.
+    """
     per = samples // NUM_BATCHES
     if per < 1:
         raise ValidationError(f"need at least {NUM_BATCHES} samples")
-    return [moment_choi(spec, k, per, rng) for _ in range(NUM_BATCHES)], per * NUM_BATCHES
+    used = per * NUM_BATCHES
+    if vectors and used < 1 << (2 * k * spec.n_qubits):
+        vs = _choi_vectors(spec, k, used, rng).reshape(NUM_BATCHES, per, -1)
+        for batch in vs:
+            _check_trace(np.vdot(batch, batch).real / per)
+        return vs, used
+    return [moment_choi(spec, k, per, rng) for _ in range(NUM_BATCHES)], used
 
 
-def _split_half_distance(batches: list[np.ndarray]) -> float:
-    h = len(batches) // 2
-    return trace_distance(_mean(batches[:h]), _mean(batches[h:]))
+def _mean_into(out: np.ndarray, batches: list[np.ndarray], idx) -> np.ndarray:
+    """sum(batches[x] for x in idx) / len(idx), added in that order into out."""
+    out[...] = 0
+    for x in idx:
+        out += batches[x]
+    out /= len(idx)
+    return out
 
 
 def _distance_from_batches(
-    batches_a: list[np.ndarray],
+    batches_a: list[np.ndarray] | np.ndarray,
     batches_b: list[np.ndarray] | None,
     exact_ref: np.ndarray | None,
     rng: np.random.Generator,
 ) -> tuple[float, float, float]:
     """(value, bootstrap stderr, split-half null floor).
 
+    Batches given as a stack of Choi vectors are one-sided against an
+    exact_ref of the form c I, and take the r x r route (module docstring).
     The half-vs-half distance runs at twice the variance of the full mean,
     so the one-sided noise level is half of it; two noisy sides combine in
     quadrature.
     """
-    ref = exact_ref if batches_b is None else _mean(batches_b)
-    value = trace_distance(_mean(batches_a), ref)
     nb = len(batches_a)
+    h = nb // 2
+    if isinstance(batches_a, np.ndarray):
+        per, dim = batches_a.shape[1:]
+        flat = batches_a.reshape(nb * per, dim)
+        gram = flat.conj() @ flat.T
+        c = _scalar(exact_ref)
+
+        def distance(ia, _ib) -> float:
+            w = np.repeat(np.bincount(ia, minlength=nb) / (nb * per), per)
+            return 0.5 * _gram_trace_norm(gram, w, c, dim)
+
+        def split_half(_batches) -> float:
+            w = np.repeat(np.r_[np.full(h, 1 / h), np.full(nb - h, -1 / (nb - h))] / per, per)
+            return trace_distance((flat.T * w) @ flat.conj())
+
+    else:
+        buf, other = np.empty_like(batches_a[0]), np.empty_like(batches_a[0])
+
+        def distance(ia, ib) -> float:
+            diff = _mean_into(buf, batches_a, ia)
+            diff -= exact_ref if batches_b is None else _mean_into(other, batches_b, ib)
+            return trace_distance(diff)
+
+        def split_half(batches) -> float:
+            diff = _mean_into(buf, batches, range(h))
+            diff -= _mean_into(other, batches, range(h, nb))
+            return trace_distance(diff)
+
+    value = distance(range(nb), range(nb))
     boots = np.empty(BOOTSTRAP_DRAWS)
     for i in range(BOOTSTRAP_DRAWS):
         ia = rng.integers(nb, size=nb)
-        ra = _mean([batches_a[x] for x in ia])
-        if batches_b is None:
-            rb = exact_ref
-        else:
-            ib = rng.integers(nb, size=nb)
-            rb = _mean([batches_b[x] for x in ib])
-        boots[i] = trace_distance(ra, rb)
+        ib = None if batches_b is None else rng.integers(nb, size=nb)
+        boots[i] = distance(ia, ib)
     stderr = float(boots.std(ddof=1))
-    fa = _split_half_distance(batches_a)
+    fa = split_half(batches_a)
     if batches_b is None:
         floor = fa / 2.0
     else:
-        floor = math.hypot(fa, _split_half_distance(batches_b)) / 2.0
+        floor = math.hypot(fa, split_half(batches_b)) / 2.0
     return value, stderr, floor
 
 
@@ -175,10 +257,11 @@ def decay_experiment(
     if ts[0] < 1 or ts[-1] > n:
         raise ValidationError("every t must satisfy 1 <= t <= n")
     ref = exact_moment_choi(Haar(n), k)
+    scalar = _scalar(ref) is not None
     rows = []
     for t in ts:
         spec = Homeopathy(n, t, Haar(t))
-        batches, used = _batched_choi(spec, k, samples, rng)
+        batches, used = _batched_choi(spec, k, samples, rng, vectors=scalar)
         value, stderr, floor = _distance_from_batches(batches, None, ref, rng)
         rows.append(DecayRow(t, value, stderr, floor, used))
     return DecayReport(n, k, tuple(rows))

@@ -122,6 +122,15 @@ def test_03_clifford_is_exactly_a_3_design_and_not_a_4_design():
 
 @pytest.mark.slow
 def test_04_moment_distance_decay_stays_under_envelope():
+    """The decay experiment at n = 5, k = 1: rows monotone above their floors,
+    inside the envelope, and any fitted slope at most -0.8.
+
+    At k = 1 every sandwich C1 (U_t x I) C2 is an exact design, since the
+    uniform Clifford group already is one (ROADMAP, finding (a)), so every
+    row is noise around its split-half floor.  This test therefore checks
+    the estimator and floor machinery at 20,000 samples; it cannot fail on a
+    false decay claim.
+    """
     rng = np.random.default_rng(20260501)
     report = decay_experiment(5, 1, [1, 2, 3, 4, 5], 20000, rng)
     assert monotone_above_floor(report), [

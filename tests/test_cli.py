@@ -336,6 +336,11 @@ BAD_BEFORE_DRAW = {
     "clifford-n40": FP + ["clifford", "--n", "40"],
     "homeopathy-n40": FP + ["homeopathy", "--n", "40", "--t", "2"],
     "homeopathy-t-over-n": FP + ["homeopathy", "--n", "2", "--t", "3"],
+    # d^(4k) = 2^4000 overflows float64
+    "frame-potential-k1000": [
+        "frame-potential", "--ensemble", "haar", "--n", "1", "--k", "1000",
+        "--samples", "2", "--seed", "1",
+    ],
     "twirl-n20-k5": ["twirl-check", "--n", "20", "--k", "5", "--seed", "1"],
     "twirl-k5": ["twirl-check", "--n", "1", "--k", "5", "--inputs", "1", "--seed", "1"],
     "vandermonde-k0": ["vandermonde", "--k", "0"],

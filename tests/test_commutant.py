@@ -400,6 +400,37 @@ def test_permutation_gram_example():
     np.testing.assert_allclose(permutation_gram(2, 4), [[16, 4], [4, 16]], atol=1e-12)
 
 
+def looped_cycle_counts(k):
+    """cycles(pi^-1 sigma) over all pairs of S_k, one pair at a time."""
+    perms = list(itertools.permutations(range(k)))
+    counts = []
+    for p in perms:
+        inv = [0] * k
+        for c, q in enumerate(p):
+            inv[q] = c
+        row = []
+        for q in perms:
+            composed, cycles, seen = [inv[q[c]] for c in range(k)], 0, set()
+            for start in range(k):
+                if start not in seen:
+                    cycles += 1
+                    c = start
+                    while c not in seen:
+                        seen.add(c)
+                        c = composed[c]
+            row.append(cycles)
+        counts.append(row)
+    return counts
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_permutation_gram_table_matches_the_pair_loop_bitwise(k):
+    counts = looped_cycle_counts(k)
+    for d in (1, 2, 4):
+        looped = np.array([[float(d) ** c for c in row] for row in counts])
+        assert permutation_gram(k, d).tobytes() == looped.tobytes(), (k, d)
+
+
 def test_haar_twirl_k1():
     rng = np.random.default_rng(47)
     o = random_operand(8, rng)

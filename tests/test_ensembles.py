@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -351,6 +352,20 @@ def test_too_wide_spec_is_rejected_before_any_draw(spec):
     with pytest.raises(ValidationError, match="dense limit"):
         sample(spec, rng)
     assert rng.bit_generator.state == state
+
+
+def test_frame_potential_rejects_a_k_that_overflows_float64():
+    # the standard error squares values up to d^2k: d^4k must stay below 2^1024
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    for spec, k in ((Haar(1), 256), (CliffordUniform(2), 128), (Haar(1), 1000)):
+        with pytest.raises(ValidationError, match="overflows float64"):
+            frame_potential(spec, k, 2, rng)
+    assert rng.bit_generator.state == state
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est, err = frame_potential(Haar(1), 255, 2, rng)
+    assert np.isfinite(est) and np.isfinite(err)
 
 
 def test_exact_haar_choi_past_the_haar_twirl_cap():

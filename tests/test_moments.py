@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from kdesign import cli
+from kdesign import cli, moments
 from kdesign.dense import DenseOperator, haar_unitary
 from kdesign.ensembles import (
     CliffordEnumerated,
@@ -14,6 +14,7 @@ from kdesign.ensembles import (
     Haar,
     Homeopathy,
     exact_moment_choi,
+    moment_choi,
 )
 from kdesign.errors import ValidationError
 from kdesign.moments import (
@@ -27,6 +28,7 @@ from kdesign.moments import (
     monotone_above_floor,
     trace_distance,
 )
+from kdesign.moments import _gram_trace_norm, _scalar
 
 
 def test_trace_distance_basics():
@@ -163,3 +165,97 @@ def test_adaptive_distance_homeopathy_identity():
     qs = [haar_unitary(8, rng) for _ in range(2)]  # one ancilla qubit
     est = adaptive_distance(Homeopathy(2, 2, Haar(2)), Haar(2), qs, 1500, rng)
     assert not est.above_floor
+
+
+# ---------------------------------------------------------------------------
+# the r x r Gram route against dense eigenvalues
+
+
+def weighted_vectors(nonzero, zeros, dim, seed):
+    """Random complex vectors with weights >= 0, `zeros` of them 0."""
+    rng = np.random.default_rng(seed)
+    r = nonzero + zeros
+    vs = rng.normal(size=(r, dim)) + 1j * rng.normal(size=(r, dim))
+    w = rng.random(r) + 0.1
+    w[rng.permutation(r)[:zeros]] = 0.0
+    return vs, w
+
+
+@pytest.mark.parametrize("c", [0.0, 1 / 12, 2.5])
+@pytest.mark.parametrize(
+    "nonzero, zeros", [(5, 0), (12, 0), (20, 0), (5, 3), (12, 4), (20, 4)]
+)
+def test_gram_trace_norm_matches_dense_eigvalsh(nonzero, zeros, c):
+    # r < D, r = D and r > D for D = 12, with and without zero weights
+    dim = 12
+    vs, w = weighted_vectors(nonzero, zeros, dim, 1000 + 7 * nonzero + zeros)
+    dense = (vs.T * w) @ vs.conj() - c * np.eye(dim)
+    expected = float(np.abs(np.linalg.eigvalsh(dense)).sum())
+    got = _gram_trace_norm(vs.conj() @ vs.T, w, c, dim)
+    assert got == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def test_scalar_reference_is_an_exact_array_test():
+    assert _scalar(exact_moment_choi(Haar(3), 1)) == 1 / 64
+    assert _scalar(np.zeros((4, 4), dtype=complex)) == 0.0
+    assert _scalar(exact_moment_choi(Haar(1), 2)) is None
+    eye = np.eye(4, dtype=complex) / 4
+    for i, j, bump in ((0, 1, 1e-300), (2, 2, 1e-16), (3, 3, 1e-300j)):
+        near = eye.copy()
+        near[i, j] += bump
+        assert _scalar(near) is None, (i, j, bump)
+
+
+def dense_decay_reference(n, k, t_list, samples, rng):
+    """decay_experiment rows, every distance an eigvalsh of a D x D mean."""
+    ref = exact_moment_choi(Haar(n), k)
+    per = samples // 10
+
+    def mean(mats):
+        return sum(mats) / len(mats)
+
+    rows = []
+    for t in t_list:
+        batches = [moment_choi(Homeopathy(n, t, Haar(t)), k, per, rng) for _ in range(10)]
+        value = trace_distance(mean(batches), ref)
+        boots = [
+            trace_distance(mean([batches[x] for x in rng.integers(10, size=10)]), ref)
+            for _ in range(20)
+        ]
+        floor = trace_distance(mean(batches[:5]), mean(batches[5:])) / 2
+        rows.append((t, value, float(np.std(boots, ddof=1)), floor, per * 10))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "n, k, samples",
+    [
+        (2, 1, 10),  # S = 10 < D = 16, one sample per batch: r x r route
+        (3, 1, 50),  # S < D = 64: r x r route
+        (3, 1, 200),  # per = 20 < D <= S: dense batches
+        (3, 1, 700),  # per = 70 >= D: dense batches
+        (1, 2, 10),  # non-scalar Haar reference at k = 2, D = 16
+        (2, 2, 100),  # non-scalar reference, S < D = 256
+    ],
+)
+def test_decay_rows_match_the_dense_evaluation(monkeypatch, n, k, samples):
+    ts = list(range(1, n + 1))
+    ref_rng, rng = np.random.default_rng(113), np.random.default_rng(113)
+    expected = dense_decay_reference(n, k, ts, samples, ref_rng)
+    calls = []
+    dense_distance = moments.trace_distance
+    monkeypatch.setattr(
+        moments, "trace_distance", lambda *a: calls.append(a) or dense_distance(*a)
+    )
+    report = decay_experiment(n, k, ts, samples, rng)
+    got = [(r.t, r.distance, r.stderr, r.floor, r.samples) for r in report.rows]
+    gram_route = k == 1 and samples < 4**n
+    # only the split-half floor leaves the r x r route
+    assert len(calls) == len(ts) * (1 if gram_route else 22)
+    if gram_route:
+        for g, e in zip(got, expected):
+            assert (g[0], g[4]) == (e[0], e[4])
+            np.testing.assert_allclose(g[1:4], e[1:4], rtol=1e-12, atol=0)
+    else:
+        assert got == expected
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
