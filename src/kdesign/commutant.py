@@ -6,18 +6,26 @@ even-weight subspace of F_2^k together with a symmetric zero-diagonal phase
 matrix M, and its full-register form is the n-fold tensor power of a single
 2^k x 2^k site operator.  This module enumerates canonical monomials, builds
 their matrices, computes the integer alpha-distance and the Gram/Weingarten
-tables, and builds one (inverse Gram, stacked operators) pair per basis:
+tables, and builds one (inverse Gram, index set) pair per basis:
 _clifford_basis over the monomials, _haar_basis over the permutations.
 Both pairs come from cached read-only arrays, and both Gram matrices are
 inverted by _stable_inverse under one cutoff.  Both twirls are the one
 projection _commutant_project onto such a span.
 
+Index sets: every site matrix is 0/1 with exactly 2^k ones (_site_ones
+checks this), so every full-register monomial and every permutation
+operator T_pi is a 0/1 matrix with exactly D ones on its D x D register.
+A basis is held as the (s, D) integer array of the flat positions
+row * D + col of those ones, never as dense D x D matrices: traces against
+an operand are gathers, sums of basis operators are scatter-adds, and the
+overlaps and Choi states are real 0/1 GEMMs (_incidence).
+
 Copy layout: copy c of qubit q sits at bit position c*n + q, i.e. base-d
 digit c of an index is the computational index of copy c.  Permutation
 operators use the same digit convention.  One index kernel,
-_digit_permutation, reorders digits for both bases: it places the entries
-of each permutation operator, and it moves the Kronecker powers of the site
-matrices from qubit-major bits (q*k + c) into the copy layout.
+_digit_permutation, reorders digits for both bases: it places the ones of
+each permutation operator, and it spreads the row and column bits of each
+site matrix's ones into the copy layout.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ import itertools
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -193,12 +201,34 @@ def monomial_site_matrix(mono: PauliMonomial) -> DenseOperator:
     return DenseOperator(1 << mono.k, _site_matrices([mono])[0])
 
 
+def _site_ones(mats: np.ndarray) -> np.ndarray:
+    """Flat positions row * 2^k + col of the ones of each (2^k, 2^k) site
+    matrix, as an (s, 2^k) array; InternalConsistencyError unless every
+    matrix is 0/1 with exactly 2^k ones, the form every index set rests on."""
+    s, d = mats.shape[:2]
+    flat = mats.reshape(s, d * d)
+    one = flat == 1
+    if not (one | (flat == 0)).all() or not (one.sum(axis=1) == d).all():
+        raise InternalConsistencyError("a site matrix is not 0/1 with 2^k ones")
+    return np.nonzero(one)[1].reshape(s, d)
+
+
+# Site matrix entries per _site_matrices call of _site_stack: 2^20 keeps the
+# transient complex stack at 16 MB (k = 6 alone would take 300 MB).
+_STACK_PASS_ENTRIES = 1 << 20
+
+
 @lru_cache(maxsize=None)
 def _site_stack(k: int) -> tuple[tuple[PauliMonomial, ...], np.ndarray]:
+    """The canonical monomials and the _site_ones positions of their site
+    matrices."""
     monos = tuple(enumerate_monomials(k))
-    mats = _site_matrices(monos)
-    mats.flags.writeable = False
-    return monos, mats
+    per = max(1, _STACK_PASS_ENTRIES >> (2 * k))
+    ones = np.concatenate(
+        [_site_ones(_site_matrices(monos[lo : lo + per])) for lo in range(0, len(monos), per)]
+    )
+    ones.flags.writeable = False
+    return monos, ones
 
 
 def _integer_exponent(values, k: int, what: str) -> np.ndarray:
@@ -257,14 +287,18 @@ class WeingartenTable:
     gram_min_singular: float
 
 
+def _incidence(ones: np.ndarray, size: int) -> np.ndarray:
+    """The real 0/1 (s, size) matrix with row a set to 1 at ones[a]."""
+    x = np.zeros((len(ones), size))
+    np.put_along_axis(x, ones, 1.0, axis=1)
+    return x
+
+
 @lru_cache(maxsize=None)
 def _alpha_table(k: int) -> np.ndarray:
-    _, mats = _site_stack(k)
-    flat = mats.reshape(len(mats), -1)
-    overlaps = flat.conj() @ flat.T
-    if np.max(np.abs(overlaps.imag)) > 1e-9:
-        raise InternalConsistencyError("monomial overlaps came out complex")
-    out = _integer_exponent(overlaps.real, k, "alpha")
+    _, ones = _site_stack(k)
+    x = _incidence(ones, 1 << (2 * k))
+    out = _integer_exponent(x @ x.T, k, "alpha")  # tr(A^dagger B) counts shared ones
     out.flags.writeable = False
     return out
 
@@ -277,14 +311,19 @@ def check_table_args(k: int, n: int) -> None:
         raise ValidationError("need n >= 1")
 
 
-def gram_matrix(k: int, n: int) -> WeingartenTable:
-    """G[i,j] = d^(-alpha_ij) with d = 2^n; W left unset."""
+def _gram(k: int, n: int) -> tuple[WeingartenTable, np.ndarray]:
+    """gram_matrix's table and the singular values of its Gram matrix."""
     check_table_args(k, n)
     monos, _ = _site_stack(k)
     g = np.power(2.0, -float(n) * _alpha_table(k))
-    smin = float(np.linalg.svd(g, compute_uv=False).min())
+    s = np.linalg.svd(g, compute_uv=False)
     g.flags.writeable = False
-    return WeingartenTable(k, n, monos, g, None, False, smin)
+    return WeingartenTable(k, n, monos, g, None, False, float(s.min())), s
+
+
+def gram_matrix(k: int, n: int) -> WeingartenTable:
+    """G[i,j] = d^(-alpha_ij) with d = 2^n; W left unset."""
+    return _gram(k, n)[0]
 
 
 # Every singular value of every reachable Gram matrix (monomials k <= 5,
@@ -294,10 +333,12 @@ def gram_matrix(k: int, n: int) -> WeingartenTable:
 _RCOND = 1e-10
 
 
-def _stable_inverse(mat: np.ndarray) -> tuple[np.ndarray, bool]:
+def _stable_inverse(mat: np.ndarray, s: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
     """(inverse, False), or (pseudoinverse at _RCOND, True) when the ratio of
-    the extreme singular values falls below _RCOND."""
-    s = np.linalg.svd(mat, compute_uv=False)
+    the extreme singular values s of mat (computed when not given) falls
+    below _RCOND."""
+    if s is None:
+        s = np.linalg.svd(mat, compute_uv=False)
     if s.min() / s.max() < _RCOND:
         return np.linalg.pinv(mat, rcond=_RCOND), True
     return np.linalg.inv(mat), False
@@ -306,15 +347,15 @@ def _stable_inverse(mat: np.ndarray) -> tuple[np.ndarray, bool]:
 @lru_cache(maxsize=None)
 def weingarten_table(k: int, n: int) -> WeingartenTable:
     """Gram matrix plus its inverse (pseudoinverse with flag when singular)."""
-    base = gram_matrix(k, n)
-    w, pseudo = _stable_inverse(base.gram)
+    base, s = _gram(k, n)
+    w, pseudo = _stable_inverse(base.gram, s)
     w = 0.5 * (w + w.T)  # G is symmetric; keep its inverse exactly so
     w.flags.writeable = False
     return replace(base, weingarten=w, pseudo=pseudo)
 
 
 # ---------------------------------------------------------------------------
-# full-register monomial matrices and the Clifford twirl
+# commutant bases as index sets, and the twirls
 
 
 def _digit_permutation(perm: tuple[int, ...], d: int) -> np.ndarray:
@@ -324,41 +365,54 @@ def _digit_permutation(perm: tuple[int, ...], d: int) -> np.ndarray:
     return digits @ d ** np.array(perm, dtype=np.int64)
 
 
-@lru_cache(maxsize=None)
-def _full_stack(k: int, n: int) -> np.ndarray:
-    """All monomial matrices on the full (2^n)^k register, copy-major layout."""
-    dim = 1 << (n * k)
+def _check_copy_dim(dim: int) -> None:
     if dim > MAX_COPY_OPERATOR_DIM:
         raise ValidationError(
             f"k-copy operators limited to dimension {MAX_COPY_OPERATOR_DIM}, need {dim}"
         )
-    _, sites = _site_stack(k)
-    # qubit-major bit q*k + c of the Kronecker power goes to bit c*n + q
-    idx = _digit_permutation(tuple(c * n + q for q in range(n) for c in range(k)), 2)
-    out = np.empty((len(sites), dim, dim), dtype=complex)
-    for i, site in enumerate(sites):
-        full = reduce(np.kron, [site] * n)
-        out[i][np.ix_(idx, idx)] = full
+
+
+@lru_cache(maxsize=None)
+def _clifford_ones(k: int, n: int) -> np.ndarray:
+    """Flat positions row * D + col of the ones of every monomial on the full
+    D = 2^(nk) register, as (monomials, D), in the copy layout: the n-th
+    tensor power of a site matrix has a one at each n-tuple of its ones, and
+    copy bit c of qubit q goes to bit c*n + q."""
+    dim = 1 << (n * k)
+    _check_copy_dim(dim)
+    _, ones = _site_stack(k)
+    spread = _digit_permutation(tuple(c * n for c in range(k)), 2)  # bit c -> bit c*n
+    rows, cols = spread[ones >> k], spread[ones & ((1 << k) - 1)]
+    r = c = np.zeros((len(ones), 1), dtype=np.int64)
+    for q in range(n):
+        r = (r[:, :, None] | rows[:, None, :] << q).reshape(len(ones), -1)
+        c = (c[:, :, None] | cols[:, None, :] << q).reshape(len(ones), -1)
+    out = r * dim + c
     out.flags.writeable = False
     return out
 
 
 def _clifford_basis(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(inverse of tr(A^dagger B), stacked A) over the monomials: the table's
-    Gram matrix is tr(A^dagger B) / d^k, so the inverse is W / d^k."""
+    """(inverse of tr(A^dagger B), ones of each A) over the monomials: the
+    table's Gram matrix is tr(A^dagger B) / d^k, so the inverse is W / d^k."""
     w = weingarten_table(k, n).weingarten / float(2 ** (n * k))
-    return w, _full_stack(k, n)
+    return w, _clifford_ones(k, n)
 
 
-def _commutant_project(w: np.ndarray, mats: np.ndarray, o) -> DenseOperator:
-    """sum_{A,B} w[A,B] A tr(B^dagger O) over stacked (s, D, D) operators; the
-    orthogonal projection onto their span when w inverts their Gram matrix."""
-    s, dim = mats.shape[:2]
+def _commutant_project(w: np.ndarray, ones: np.ndarray, o) -> DenseOperator:
+    """sum_{A,B} w[A,B] A tr(B^dagger O) over 0/1 operators A given by the
+    flat positions of their ones, (s, D); the orthogonal projection onto
+    their span when w inverts their Gram matrix.  Each tr(B^dagger O) is a
+    sum of gathered entries of O, and the sum over A a scatter-add."""
+    dim = ones.shape[1]
     om = np.asarray(getattr(o, "matrix", o), dtype=complex)
     if om.shape != (dim, dim):
         raise ValidationError(f"operand must be {dim}x{dim}")
-    coeffs = w @ (mats.reshape(s, -1).conj() @ om.reshape(-1))
-    return DenseOperator(dim, np.tensordot(coeffs, mats, axes=1))
+    coeffs = np.repeat(w @ om.ravel()[ones].sum(axis=1), dim)
+    out = np.empty(dim * dim, dtype=complex)
+    out.real = np.bincount(ones.ravel(), coeffs.real, minlength=dim * dim)
+    out.imag = np.bincount(ones.ravel(), coeffs.imag, minlength=dim * dim)
+    return DenseOperator(dim, out.reshape(dim, dim))
 
 
 def clifford_twirl(o, k: int, n: int) -> DenseOperator:
@@ -373,19 +427,24 @@ def clifford_twirl(o, k: int, n: int) -> DenseOperator:
 MAX_HAAR_COPIES = 4
 
 
-def permutation_matrix(perm: tuple[int, ...], d: int) -> np.ndarray:
-    """T_pi on k copies of a d-dimensional system: digit c -> digit pi(c)."""
+def _permutation_ones(perm: tuple[int, ...], d: int) -> np.ndarray:
+    """Flat positions row * D + col of the ones of T_pi, D = d^k."""
     k = len(perm)
     if sorted(perm) != list(range(k)):
         raise ValidationError(f"not a permutation: {perm}")
     if d < 1:
         raise ValidationError("need d >= 1")
     dim = d**k
-    if dim > MAX_COPY_OPERATOR_DIM:
-        raise ValidationError("permutation operator exceeds the k-copy dimension limit")
-    t = np.zeros((dim, dim))
-    t[_digit_permutation(perm, d), np.arange(dim)] = 1.0
-    return t
+    _check_copy_dim(dim)
+    return _digit_permutation(perm, d) * dim + np.arange(dim)
+
+
+def permutation_matrix(perm: tuple[int, ...], d: int) -> np.ndarray:
+    """T_pi on k copies of a d-dimensional system: digit c -> digit pi(c)."""
+    ones = _permutation_ones(perm, d)
+    t = np.zeros(len(ones) ** 2)
+    t[ones] = 1.0
+    return t.reshape(len(ones), len(ones))
 
 
 def _cycle_count(perm: tuple[int, ...]) -> int:
@@ -420,14 +479,12 @@ def permutation_gram(k: int, d: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _haar_basis(k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(inverse of tr(T_pi^dagger T_sigma), stacked T_pi) over S_k; a
-    pseudoinverse where d < k makes the T_pi dependent.  The stack stays
-    float64: a complex one could change the bits of the exact Haar Choi
-    states."""
-    mats = np.stack([permutation_matrix(p, d) for p in itertools.permutations(range(k))])
+    """(inverse of tr(T_pi^dagger T_sigma), ones of each T_pi) over S_k; a
+    pseudoinverse where d < k makes the T_pi dependent."""
+    ones = np.stack([_permutation_ones(p, d) for p in itertools.permutations(range(k))])
     w, _ = _stable_inverse(permutation_gram(k, d))
-    w.flags.writeable = mats.flags.writeable = False
-    return w, mats
+    w.flags.writeable = ones.flags.writeable = False
+    return w, ones
 
 
 def _haar_twirl_basis(k: int, d: int) -> tuple[np.ndarray, np.ndarray]:

@@ -6,10 +6,11 @@ construction C1 (U_t x I) C2 with an inner ensemble on the first t qubits.
 Samplers produce dense unitaries, which frame_potential pairs.  Every moment
 operator comes from one of two kernels: _outer_average, E|v><v| over draws
 or over the elements of a finite spec (moment_choi, adaptive_output_state,
-finite exact_moment_choi), and _commutant_choi over a commutant basis (Haar
-and uniform Clifford exact_moment_choi).  _outer_average sums the stacks of
-one vector kernel, _vector_chunks, which also hands the sampled Choi vectors
-themselves to the moments module (_choi_vectors).
+finite exact_moment_choi), and _commutant_choi over the index set of a
+commutant basis (Haar and uniform Clifford exact_moment_choi).
+_outer_average sums the stacks of one vector kernel, _vector_chunks, which
+also hands the sampled Choi vectors themselves to the moments module
+(_choi_vectors).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Union
 
 import numpy as np
 
-from .commutant import _clifford_basis, _haar_basis
+from .commutant import _clifford_basis, _haar_basis, _incidence
 from .dense import MAX_DENSE_DIM, DenseOperator, haar_unitary, query_output_state
 from .errors import InternalConsistencyError, ValidationError
 from .pauli import cliffords_to_matrices, enumerate_cliffords, random_tableau
@@ -220,14 +221,14 @@ def from_config(cfg: dict) -> EnsembleSpec:
     except (TypeError, KeyError):
         raise ValidationError("ensemble config needs a 'variant' key") from None
 
-    def field(key: str, convert=int):
+    def field(key: str, convert=_exact_int):
         try:
             return convert(cfg[key])
         except KeyError:
             raise ValidationError(f"{variant!r} ensemble config is missing key {key!r}") from None
         except ValidationError:
             raise
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValidationError(
                 f"{variant!r} ensemble config has a bad {key!r}: {cfg[key]!r}"
             ) from None
@@ -243,6 +244,14 @@ def from_config(cfg: dict) -> EnsembleSpec:
     if variant == "fixed_list":
         return FixedList(field("unitaries", _unitaries_from_config))
     raise ValidationError(f"unknown ensemble variant {variant!r}")
+
+
+def _exact_int(value) -> int:
+    """value itself if it is an int, else TypeError: no float, bool or string
+    is read as a qubit count."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"not an int: {value!r}")
+    return value
 
 
 def _unitaries_from_config(mats) -> tuple[DenseOperator, ...]:
@@ -385,16 +394,17 @@ def exact_moment_choi(spec: EnsembleSpec, k: int) -> np.ndarray:
     return _checked_choi(j)
 
 
-def _commutant_choi(w: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """sum_{a,b} w[a,b] A_a x conj(A_b) over stacked (s, D, D) operators.
+def _commutant_choi(w: np.ndarray, ones: np.ndarray) -> np.ndarray:
+    """sum_{a,b} w[a,b] A_a x conj(A_b) over 0/1 operators given by the
+    (s, D) flat positions of their ones.
 
-    One GEMM, X^T (w conj(X)) with the operators as rows of X, gives the sum
-    indexed [(i,k), (j,l)]; a transpose puts it in Kronecker order
+    One GEMM, X^T (w X) with the real 0/1 operators as rows of X, gives the
+    sum indexed [(i,k), (j,l)]; a transpose puts it in Kronecker order
     [(i,j), (k,l)].
     """
-    s, dim = mats.shape[:2]
-    flat = mats.reshape(s, dim * dim)
-    y = flat.T @ (w @ flat.conj())
+    dim = ones.shape[1]
+    x = _incidence(ones, dim * dim)
+    y = x.T @ (w @ x)
     y = y.reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim)
     return y.astype(complex, copy=False)
 

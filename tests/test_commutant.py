@@ -9,12 +9,14 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from kdesign import commutant
 from kdesign.commutant import (
     PauliMonomial,
     _alpha_from_sites,
     _alpha_table,
+    _clifford_ones,
+    _digit_permutation,
     _fraction_inverse,
-    _full_stack,
     _haar_basis,
     _integer_exponent,
     _site_matrices,
@@ -113,12 +115,50 @@ def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
     assert got.tobytes() == want.tobytes()  # signed zeros included
 
 
+def densify(ones: np.ndarray) -> np.ndarray:
+    """The (s, D, D) complex 0/1 operators with their ones at the flat
+    positions row * D + col of each row of `ones`, (s, D)."""
+    s, dim = ones.shape
+    out = np.zeros((s, dim * dim), dtype=complex)
+    np.put_along_axis(out, ones, 1.0, axis=1)
+    return out.reshape(s, dim, dim)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_site_stack_matches_reference_construction(k):
-    monos, stack = _site_stack(k)
-    assert_same_bits(stack, np.stack([reference_site_matrix(mn) for mn in monos]))
-    for mono, row in zip(monos, stack):
+    monos, ones = _site_stack(k)
+    want = np.stack([reference_site_matrix(mn) for mn in monos])
+    assert_same_bits(_site_matrices(monos), want)
+    assert_same_bits(densify(ones), want)
+    for mono, row in zip(monos, want):
         assert_same_bits(monomial_site_matrix(mono).matrix, row)
+
+
+# monomials per _site_matrices call in the tests below: 16 MB stacks at k = 6
+SITE_CHUNK = 256
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_every_site_matrix_is_zero_one_with_2_to_the_k_ones(k):
+    monos, ones = _site_stack(k)
+    assert ones.shape == (len(monos), 1 << k)
+    for lo in range(0, len(monos), SITE_CHUNK):
+        mats = _site_matrices(monos[lo : lo + SITE_CHUNK])
+        flat = mats.reshape(len(mats), -1)
+        assert np.isin(flat, (0.0, 1.0)).all()
+        assert ((flat == 1).sum(axis=1) == 1 << k).all()
+        assert np.array_equal(densify(ones[lo : lo + SITE_CHUNK]), mats)
+
+
+@pytest.mark.parametrize("value", [2.0, 0.0, 1j])
+def test_site_stack_rejects_a_site_that_is_not_zero_one(monkeypatch, value):
+    # a 2, a missing one, or an imaginary one in place of one of the ones
+    mats = _site_matrices(enumerate_monomials(3))
+    row, col = np.argwhere(mats[1] == 1)[0]
+    mats[1, row, col] = value
+    monkeypatch.setattr(commutant, "_site_matrices", lambda monos: mats)
+    with pytest.raises(InternalConsistencyError):
+        _site_stack.__wrapped__(3)
 
 
 def test_site_matrices_match_reference_on_k6_sample():
@@ -315,7 +355,7 @@ def random_operand(dim, rng):
 
 def test_clifford_twirl_fixes_monomials():
     for k, n in ((2, 1), (2, 2), (3, 2)):
-        for full in _full_stack(k, n):
+        for full in densify(_clifford_ones(k, n)):
             out = clifford_twirl(full, k, n).matrix
             np.testing.assert_allclose(out, full, atol=1e-9)
 
@@ -363,23 +403,43 @@ def test_permutation_ops():
             permutation_matrix(perm, d)
 
 
+def looped_permutation_matrix(p: tuple[int, ...], d: int) -> np.ndarray:
+    """T_pi one basis vector at a time: digit c of the input is digit p[c]
+    of the output."""
+    k = len(p)
+    want = np.zeros((d**k, d**k))
+    for digits in itertools.product(range(d), repeat=k):
+        i = sum(v * d**c for c, v in enumerate(digits))
+        j = sum(v * d ** p[c] for c, v in enumerate(digits))
+        want[j, i] = 1.0
+    return want
+
+
 def test_permutation_matrix_moves_digit_c_to_digit_pi_c():
     d = 3
     for p in itertools.permutations(range(3)):
-        want = np.zeros((d**3, d**3))
-        for digits in itertools.product(range(d), repeat=3):
-            i = sum(v * d**c for c, v in enumerate(digits))
-            j = sum(v * d ** p[c] for c, v in enumerate(digits))
-            want[j, i] = 1.0
-        assert np.array_equal(permutation_matrix(p, d), want)
+        assert np.array_equal(permutation_matrix(p, d), looped_permutation_matrix(p, d))
 
 
 def test_haar_basis_is_cached_and_read_only():
-    w, mats = _haar_basis(4, 4)
+    w, ones = _haar_basis(4, 4)
     again = _haar_basis(4, 4)
-    assert again[0] is w and again[1] is mats
-    assert not w.flags.writeable and not mats.flags.writeable
-    assert mats.dtype == np.float64
+    assert again[0] is w and again[1] is ones
+    assert not w.flags.writeable and not ones.flags.writeable
+
+
+# every (k, d) with d^k <= MAX_COPY_OPERATOR_DIM among these d
+HAAR_GRID = [(k, d) for k in range(1, 7) for d in (1, 2, 3, 4, 16) if d**k <= 256]
+
+
+@pytest.mark.parametrize("k,d", HAAR_GRID)
+def test_haar_index_forms_densify_to_the_permutation_matrices(k, d):
+    _, ones = _haar_basis(k, d)
+    perms = list(itertools.permutations(range(k)))
+    want = np.stack([permutation_matrix(p, d) for p in perms]).astype(complex)
+    assert_same_bits(densify(ones), want)
+    looped = np.stack([looped_permutation_matrix(p, d) for p in perms]).astype(complex)
+    assert_same_bits(want, looped)
 
 
 @pytest.mark.parametrize("k,n", [(5, 1), (4, 3), (2, 0), (5, 20)])
@@ -486,14 +546,46 @@ def test_three_design_agreement_and_k4_gap():
 
 def test_cross_layout_swap_consistency():
     # the two-copy SWAP monomial on n=2 must equal T_(01) with d=4
-    full = _full_stack(2, 2)[enumerate_monomials(2).index(swap_monomial())]
+    full = densify(_clifford_ones(2, 2))[enumerate_monomials(2).index(swap_monomial())]
     np.testing.assert_allclose(full, permutation_matrix((1, 0), 4), atol=1e-12)
     # and every T_pi with d = 2^n is exactly one monomial of the copy-major stack
     for k, n in ((3, 2), (4, 2), (5, 1)):
-        stack = _full_stack(k, n)
+        stack = densify(_clifford_ones(k, n))
         for p in itertools.permutations(range(k)):
             t = permutation_matrix(p, 1 << n)
             assert sum(np.array_equal(t, row) for row in stack) == 1, (k, n, p)
+
+
+def kronecker_loop_stack(sites: np.ndarray, k: int, n: int) -> np.ndarray:
+    """The dense full-register monomials as built before the index form: the
+    n-th Kronecker power of each site matrix, its qubit-major bit q*k + c
+    moved to bit c*n + q of the copy layout."""
+    dim = 1 << (n * k)
+    idx = _digit_permutation(tuple(c * n + q for q in range(n) for c in range(k)), 2)
+    out = np.empty((len(sites), dim, dim), dtype=complex)
+    for i, site in enumerate(sites):
+        out[i][np.ix_(idx, idx)] = reduce(np.kron, [site] * n)
+    return out
+
+
+# every (k, n) with a full register of at most MAX_COPY_OPERATOR_DIM = 2^8
+COPY_GRID = [(k, n) for k in range(1, 7) for n in range(1, 9) if n * k <= 8]
+
+
+@pytest.mark.parametrize("k,n", COPY_GRID)
+def test_clifford_index_forms_densify_to_the_kronecker_loop_bitwise(k, n):
+    monos, _ = _site_stack(k)
+    ones = _clifford_ones(k, n)
+    assert ones.shape == (len(monos), 1 << (n * k)) and not ones.flags.writeable
+    for lo in range(0, len(monos), SITE_CHUNK):
+        want = kronecker_loop_stack(_site_matrices(monos[lo : lo + SITE_CHUNK]), k, n)
+        assert_same_bits(densify(ones[lo : lo + SITE_CHUNK]), want)
+
+
+@pytest.mark.parametrize("k,n", [(1, 9), (3, 3), (5, 2), (6, 2)])
+def test_clifford_index_forms_stop_at_the_copy_dimension_limit(k, n):
+    with pytest.raises(ValidationError):
+        _clifford_ones(k, n)
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import math
 import warnings
 from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_commutant import densify
 
 from kdesign.commutant import (
-    _full_stack,
+    _clifford_ones,
     permutation_gram,
     permutation_matrix,
     weingarten_table,
@@ -113,6 +117,88 @@ def test_config_round_trip():
 def test_malformed_config_is_validation_error(cfg):
     with pytest.raises(ValidationError):
         from_config(cfg)
+
+
+@pytest.mark.parametrize("bad", [2.7, 2.0, True, "3", None, np.int64(2)])
+def test_config_qubit_counts_must_be_ints(bad):
+    with pytest.raises(ValidationError):
+        from_config({"variant": "haar", "n": bad})
+    with pytest.raises(ValidationError):
+        from_config({"variant": "homeopathy", "n": 2, "t": bad, "inner": to_config(Haar(1))})
+
+
+_H = 1 / math.sqrt(2)
+UNITARY_CONFIGS = [
+    [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]],  # I
+    [  # H, Y
+        [[[_H, 0.0], [_H, 0.0]], [[_H, 0.0], [-_H, 0.0]]],
+        [[[0.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [0.0, 0.0]]],
+    ],
+    [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]],  # I with int parts
+]
+_numbers = st.one_of(st.integers(), st.floats(), st.booleans())
+_fields = st.one_of(
+    st.integers(-2, 4),
+    st.integers(),
+    st.floats(),
+    st.floats(0.5, 4.5),
+    st.booleans(),
+    st.sampled_from(["1", "2", " 2"]),
+    st.text(max_size=3),
+    st.none(),
+)
+_unitaries = st.one_of(
+    st.sampled_from(UNITARY_CONFIGS),
+    st.recursive(_numbers, lambda x: st.lists(x, max_size=3), max_leaves=12),
+    _fields,
+)
+_leaf_configs = st.one_of(
+    st.fixed_dictionaries(
+        {"variant": st.sampled_from(["haar", "clifford_uniform", "clifford_enumerated", "nope"])},
+        optional={"n": _fields, "extra": _fields},
+    ),
+    st.fixed_dictionaries({"variant": st.just("fixed_list")}, optional={"unitaries": _unitaries}),
+)
+_configs = st.recursive(
+    _leaf_configs,
+    lambda inner: st.fixed_dictionaries(
+        {"variant": st.just("homeopathy")},
+        optional={"n": _fields, "t": _fields, "inner": st.one_of(inner, _fields)},
+    ),
+    max_leaves=4,
+)
+
+
+def same_values(a, b) -> bool:
+    """a == b through dicts and lists, where a bool equals only a bool."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(same_values(a[key], b[key]) for key in a)
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(same_values, a, b))
+    if isinstance(a, bool) or isinstance(b, bool):
+        return type(a) is type(b) and a == b
+    return type(a) is not list and a == b
+
+
+def known_keys(cfg: dict) -> dict:
+    """cfg without the keys from_config ignores, the inner config alike."""
+    keys = {"fixed_list": ("unitaries",), "homeopathy": ("n", "t", "inner")}
+    keys = keys.get(cfg["variant"], ("n",))
+    out = {"variant": cfg["variant"], **{key: cfg[key] for key in keys}}
+    if "inner" in out:
+        out["inner"] = known_keys(out["inner"])
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_configs, _fields, st.lists(_fields, max_size=2)))
+def test_fuzzed_config_round_trips_or_is_validation_error(cfg):
+    try:
+        spec = from_config(cfg)
+    except ValidationError:
+        return
+    assert same_values(to_config(spec), known_keys(cfg))
+    assert to_config(from_config(to_config(spec))) == to_config(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +347,7 @@ def reference_exact_choi(spec, k: int) -> np.ndarray:
             w = np.linalg.inv(lam)
         norm = d**k
     else:
-        mats = _full_stack(k, spec.n)
+        mats = densify(_clifford_ones(k, spec.n))
         w = weingarten_table(k, spec.n).weingarten
         norm = (1 << spec.n) ** (2 * k)
     dim = mats[0].shape[0] ** 2
@@ -290,6 +376,28 @@ def test_exact_choi_haar_bit_identical_to_kron_sum(n, k):
     got = exact_moment_choi(Haar(n), k)
     want = reference_exact_choi(Haar(n), k)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# sha256 prefixes of exact_moment_choi(Haar(n), k).tobytes().  With k <= 2
+# there are at most two permutations, so every entry comes from sums of at
+# most two terms, each a product with a 0/1 factor: no summation order or
+# BLAS build can change these bits.
+HAAR_CHOI_SHA256 = {
+    (1, 1): "56af5da881578377",
+    (2, 1): "1bee8bceb7cfb591",
+    (3, 1): "8dce55d976c70938",
+    (4, 1): "0e8b83de6a49a88e",
+    (5, 1): "c86720f1a4b4aa4e",
+    (1, 2): "1e496455916aaa62",
+    (2, 2): "83eb2674fabb1025",
+}
+
+
+@pytest.mark.parametrize("n,k", sorted(HAAR_CHOI_SHA256))
+def test_exact_choi_haar_bits_are_pinned(n, k):
+    got = exact_moment_choi(Haar(n), k)
+    assert got.dtype == np.complex128
+    assert hashlib.sha256(got.tobytes()).hexdigest()[:16] == HAAR_CHOI_SHA256[n, k]
 
 
 @pytest.mark.parametrize(
