@@ -12,8 +12,10 @@ Both pairs come from cached read-only arrays, and both Gram matrices are
 inverted by _stable_inverse under one cutoff.  Both twirls are the one
 projection _commutant_project onto such a span.
 
-Index sets: every site matrix is 0/1 with exactly 2^k ones (_site_ones
-checks this), so every full-register monomial and every permutation
+Index sets: the ones of a site matrix are a k-dimensional subspace T of
+F_2^k x F_2^k, and _site_supports builds their 2^k positions from T in
+closed form, from the monomial's columns and phase bits, without forming
+the matrix.  So every full-register monomial and every permutation
 operator T_pi is a 0/1 matrix with exactly D ones on its D x D register.
 A basis is held as the (s, D) integer array of the flat positions
 row * D + col of those ones, never as dense D x D matrices: traces against
@@ -41,7 +43,6 @@ import numpy as np
 from .dense import DenseOperator
 from .errors import InternalConsistencyError, ValidationError
 from .f2 import rank
-from .pauli import _pauli_action, _pauli_product
 
 MAX_MONOMIAL_COPIES = 6
 MAX_TABLE_COPIES = 5  # Gram/Weingarten dense inversion
@@ -143,90 +144,63 @@ def enumerate_monomials(k: int) -> list[PauliMonomial]:
     return out
 
 
-# Label tuples times matrix rows per pass of _site_matrices, which bounds
-# its transient arrays to a few MB.  Passes of 2^14..2^16 entries built the
-# k = 5 stack fastest; 2^20 took a third longer.
-_SITE_PASS_ENTRIES = 1 << 15
+def _site_supports(monos) -> np.ndarray:
+    """Flat positions row * 2^k + col of the ones of the single-site factors
+    of monomials sharing one k, as (len(monos), 2^k), each row ascending.
 
-
-def _site_matrices(monos) -> np.ndarray:
-    """Single-site factors of monomials sharing one k, as (len(monos), 2^k, 2^k).
-
-    The factor of a monomial with columns v_1..v_m and phase matrix M is
-    2^-m sum_l sign_M(l) P_{l_1}(v_1) ... P_{l_m}(v_m) over label tuples l in
-    {I, X, Z, Y}^m (bit 0 = X part, bit 1 = Z part), where P_l(v) has x = v
-    for an X part and z = v for a Z part, products follow pauli_mul's phase
-    rule, and sign_M(l) is the product of the commutation signs chi(l_i, l_j)
-    over the pairs i < j with M_ij = 1.  Monomials of equal m are done
-    together, label tuples in itertools.product order, and every Pauli's
-    entries are scattered into the matrices with np.bincount.
+    Those ones are the k-dimensional subspace (Gross, Nezami and Walter,
+    arXiv:1712.08628)
+        T = {(y + sum_i u_i v_i, y) : v_j . y = sum_i u_i c_ij for every j}
+    of F_2^k x F_2^k, where v_1..v_m are the monomial's columns,
+    c_ii = |v_i|/2 mod 2, and c_ij = M_ij + [j < i] v_i . v_j for i != j with
+    M the symmetric phase matrix.  Monomials of equal m are done together,
+    every (u, y) in F_2^m x F_2^k tested at once.
     """
-    d = 1 << monos[0].k
-    rows = np.arange(d)
-    out = np.empty((len(monos), d, d), dtype=complex)
+    k = monos[0].k
+    y = np.arange(1 << k)
+    out = np.empty((len(monos), 1 << k), dtype=np.int64)
     by_m: dict[int, list[int]] = {}
     for i, mono in enumerate(monos):
         by_m.setdefault(mono.m, []).append(i)
     for m, idx in by_m.items():
-        ntup = 4**m
-        labels = (np.arange(ntup)[:, None] >> (2 * np.arange(m - 1, -1, -1))) & 3
-        lx, lz = labels & 1, labels >> 1
-        # chi(l_i, l_j) = -1 iff (x_i & z_j) ^ (z_i & x_j)
-        anti = (lx[:, :, None] & lz[:, None, :]) ^ (lz[:, :, None] & lx[:, None, :])
-        per = max(1, _SITE_PASS_ENTRIES // (ntup * d))
-        for lo in range(0, len(idx), per):
-            block = idx[lo : lo + per]
-            g = len(block)
-            cols = np.array([monos[i].v_cols for i in block], dtype=np.int64).reshape(g, m)
-            upper = np.array([monos[i].m_upper for i in block], dtype=np.int64).reshape(g, m)
-            phase_bits = (upper[:, :, None] >> np.arange(m)) & 1
-            sign = (phase_bits.reshape(g, m * m) @ anti.reshape(ntup, m * m).T) & 1
-            x = np.zeros((g, ntup), dtype=np.int64)
-            z = np.zeros_like(x)
-            ph = np.zeros_like(x)
-            for j in range(m):
-                fx = lx[:, j] * cols[:, j, None]
-                fz = lz[:, j] * cols[:, j, None]
-                x, z, ph = _pauli_product(x, z, ph, fx, fz, 0)
-            src, fac = _pauli_action(x[..., None], z[..., None], (ph + 2 * sign)[..., None], rows)
-            flat = ((np.arange(g)[:, None, None] * d + rows) * d + src).ravel()
-            for part, vals in ((out.real, fac.real), (out.imag, fac.imag)):
-                summed = np.bincount(flat, vals.ravel(), minlength=g * d * d)
-                part[block] = summed.reshape(g, d, d) / (1 << m)
+        g, bit = len(idx), np.arange(m)
+        v = np.array([monos[i].v_cols for i in idx], dtype=np.int64).reshape(g, m)
+        upper = np.array([monos[i].m_upper for i in idx], dtype=np.int64).reshape(g, m)
+        phase = (upper[:, :, None] >> bit) & 1
+        dots = np.bitwise_count(v[:, :, None] & v[:, None, :]) & 1
+        c = (phase | phase.transpose(0, 2, 1)) ^ np.tril(dots, -1)
+        c[:, bit, bit] = (np.bitwise_count(v) >> 1) & 1
+        u = (np.arange(1 << m)[:, None] >> bit) & 1
+        # bit j of lhs[., y] is v_j . y, of rhs[., u] sum_i u_i c_ij
+        lhs = ((np.bitwise_count(v[:, :, None] & y) & 1) << bit[:, None]).sum(axis=1)
+        rhs = (((u @ c) & 1) << bit).sum(axis=2)
+        shift = np.bitwise_xor.reduce(u * v[:, None, :], axis=2)
+        a, uu, yy = np.nonzero(rhs[:, :, None] == lhs[:, None, :])
+        out[idx] = np.sort((((shift[a, uu] ^ yy) << k) | yy).reshape(g, 1 << k), axis=1)
     return out
 
 
 def monomial_site_matrix(mono: PauliMonomial) -> DenseOperator:
     """The single-site 2^k x 2^k factor; the full operator is its n-th power."""
-    return DenseOperator(1 << mono.k, _site_matrices([mono])[0])
-
-
-def _site_ones(mats: np.ndarray) -> np.ndarray:
-    """Flat positions row * 2^k + col of the ones of each (2^k, 2^k) site
-    matrix, as an (s, 2^k) array; InternalConsistencyError unless every
-    matrix is 0/1 with exactly 2^k ones, the form every index set rests on."""
-    s, d = mats.shape[:2]
-    flat = mats.reshape(s, d * d)
-    one = flat == 1
-    if not (one | (flat == 0)).all() or not (one.sum(axis=1) == d).all():
-        raise InternalConsistencyError("a site matrix is not 0/1 with 2^k ones")
-    return np.nonzero(one)[1].reshape(s, d)
-
-
-# Site matrix entries per _site_matrices call of _site_stack: 2^20 keeps the
-# transient complex stack at 16 MB (k = 6 alone would take 300 MB).
-_STACK_PASS_ENTRIES = 1 << 20
+    d = 1 << mono.k
+    mat = np.zeros(d * d, dtype=complex)
+    mat[_site_supports([mono])[0]] = 1
+    return DenseOperator(d, mat.reshape(d, d))
 
 
 @lru_cache(maxsize=None)
 def _site_stack(k: int) -> tuple[tuple[PauliMonomial, ...], np.ndarray]:
-    """The canonical monomials and the _site_ones positions of their site
-    matrices."""
+    """The canonical monomials and the _site_supports positions of their site
+    matrices; InternalConsistencyError unless every row holds 2^k strictly
+    increasing positions below 4^k, the form every index set rests on."""
     monos = tuple(enumerate_monomials(k))
-    per = max(1, _STACK_PASS_ENTRIES >> (2 * k))
-    ones = np.concatenate(
-        [_site_ones(_site_matrices(monos[lo : lo + per])) for lo in range(0, len(monos), per)]
-    )
+    ones = _site_supports(monos)
+    if (
+        ones.shape != (len(monos), 1 << k)
+        or (np.diff(ones, axis=1) <= 0).any()
+        or not 0 <= ones.min() <= ones.max() < 1 << (2 * k)
+    ):
+        raise InternalConsistencyError("a site matrix is not 0/1 with 2^k ones")
     ones.flags.writeable = False
     return monos, ones
 

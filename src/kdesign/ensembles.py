@@ -215,11 +215,28 @@ def to_config(spec: EnsembleSpec) -> dict:
     raise ValidationError(f"unknown ensemble spec {spec!r}")
 
 
+# the keys each variant's config holds besides "variant"
+_CONFIG_KEYS = {
+    "haar": ("n",),
+    "clifford_uniform": ("n",),
+    "clifford_enumerated": ("n",),
+    "homeopathy": ("n", "t", "inner"),
+    "fixed_list": ("unitaries",),
+}
+
+
 def from_config(cfg: dict) -> EnsembleSpec:
+    """The spec to_config wrote cfg for; ValidationError for a missing, bad
+    or unknown key at any nesting level."""
     try:
         variant = cfg["variant"]
     except (TypeError, KeyError):
         raise ValidationError("ensemble config needs a 'variant' key") from None
+    if not isinstance(variant, str) or variant not in _CONFIG_KEYS:
+        raise ValidationError(f"unknown ensemble variant {variant!r}")
+    for key in cfg:
+        if key != "variant" and key not in _CONFIG_KEYS[variant]:
+            raise ValidationError(f"{variant!r} ensemble config has an unknown key {key!r}")
 
     def field(key: str, convert=_exact_int):
         try:
@@ -241,9 +258,7 @@ def from_config(cfg: dict) -> EnsembleSpec:
         return CliffordEnumerated(field("n"))
     if variant == "homeopathy":
         return Homeopathy(field("n"), field("t"), field("inner", from_config))
-    if variant == "fixed_list":
-        return FixedList(field("unitaries", _unitaries_from_config))
-    raise ValidationError(f"unknown ensemble variant {variant!r}")
+    return FixedList(field("unitaries", _unitaries_from_config))
 
 
 def _exact_int(value) -> int:

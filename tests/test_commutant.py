@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from fractions import Fraction
 from functools import reduce
@@ -19,8 +20,8 @@ from kdesign.commutant import (
     _fraction_inverse,
     _haar_basis,
     _integer_exponent,
-    _site_matrices,
     _site_stack,
+    _site_supports,
     alpha,
     check_twirl_args,
     clifford_twirl,
@@ -41,6 +42,8 @@ from kdesign.dense import haar_state, haar_unitary
 from kdesign.errors import InternalConsistencyError, ValidationError
 from kdesign.pauli import (
     PauliString,
+    _pauli_action,
+    _pauli_product,
     clifford_to_matrix,
     enumerate_cliffords,
     pauli_matrix,
@@ -124,39 +127,116 @@ def densify(ones: np.ndarray) -> np.ndarray:
     return out.reshape(s, dim, dim)
 
 
+# Label tuples times matrix rows per pass of label_tuple_site_matrices,
+# which bounds its transient arrays to a few MB.
+LABEL_PASS_ENTRIES = 1 << 15
+
+
+def label_tuple_site_matrices(monos) -> np.ndarray:
+    """Single-site factors of monomials sharing one k, as (len(monos), 2^k,
+    2^k), summed from their Pauli expansion rather than read off T.
+
+    The factor of a monomial with columns v_1..v_m and phase matrix M is
+    2^-m sum_l sign_M(l) P_{l_1}(v_1) ... P_{l_m}(v_m) over label tuples l in
+    {I, X, Z, Y}^m (bit 0 = X part, bit 1 = Z part), where P_l(v) has x = v
+    for an X part and z = v for a Z part, products follow pauli_mul's phase
+    rule, and sign_M(l) is the product of the commutation signs chi(l_i, l_j)
+    over the pairs i < j with M_ij = 1.  Monomials of equal m are done
+    together, and every Pauli's entries are scattered with np.bincount.
+    """
+    d = 1 << monos[0].k
+    rows = np.arange(d)
+    out = np.empty((len(monos), d, d), dtype=complex)
+    by_m: dict[int, list[int]] = {}
+    for i, mono in enumerate(monos):
+        by_m.setdefault(mono.m, []).append(i)
+    for m, idx in by_m.items():
+        ntup = 4**m
+        labels = (np.arange(ntup)[:, None] >> (2 * np.arange(m - 1, -1, -1))) & 3
+        lx, lz = labels & 1, labels >> 1
+        # chi(l_i, l_j) = -1 iff (x_i & z_j) ^ (z_i & x_j)
+        anti = (lx[:, :, None] & lz[:, None, :]) ^ (lz[:, :, None] & lx[:, None, :])
+        per = max(1, LABEL_PASS_ENTRIES // (ntup * d))
+        for lo in range(0, len(idx), per):
+            block = idx[lo : lo + per]
+            g = len(block)
+            cols = np.array([monos[i].v_cols for i in block], dtype=np.int64).reshape(g, m)
+            upper = np.array([monos[i].m_upper for i in block], dtype=np.int64).reshape(g, m)
+            phase_bits = (upper[:, :, None] >> np.arange(m)) & 1
+            sign = (phase_bits.reshape(g, m * m) @ anti.reshape(ntup, m * m).T) & 1
+            x = np.zeros((g, ntup), dtype=np.int64)
+            z = np.zeros_like(x)
+            ph = np.zeros_like(x)
+            for j in range(m):
+                fx = lx[:, j] * cols[:, j, None]
+                fz = lz[:, j] * cols[:, j, None]
+                x, z, ph = _pauli_product(x, z, ph, fx, fz, 0)
+            src, fac = _pauli_action(x[..., None], z[..., None], (ph + 2 * sign)[..., None], rows)
+            flat = ((np.arange(g)[:, None, None] * d + rows) * d + src).ravel()
+            for part, vals in ((out.real, fac.real), (out.imag, fac.imag)):
+                summed = np.bincount(flat, vals.ravel(), minlength=g * d * d)
+                part[block] = summed.reshape(g, d, d) / (1 << m)
+    return out
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_site_stack_matches_reference_construction(k):
     monos, ones = _site_stack(k)
     want = np.stack([reference_site_matrix(mn) for mn in monos])
-    assert_same_bits(_site_matrices(monos), want)
+    assert_same_bits(label_tuple_site_matrices(monos), want)
     assert_same_bits(densify(ones), want)
     for mono, row in zip(monos, want):
         assert_same_bits(monomial_site_matrix(mono).matrix, row)
 
 
-# monomials per _site_matrices call in the tests below: 16 MB stacks at k = 6
+# monomials per label_tuple_site_matrices call below: 16 MB stacks at k = 6
 SITE_CHUNK = 256
 
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_every_site_matrix_is_zero_one_with_2_to_the_k_ones(k):
     monos, ones = _site_stack(k)
-    assert ones.shape == (len(monos), 1 << k)
+    assert ones.shape == (len(monos), 1 << k) and ones.dtype == np.int64
     for lo in range(0, len(monos), SITE_CHUNK):
-        mats = _site_matrices(monos[lo : lo + SITE_CHUNK])
+        mats = label_tuple_site_matrices(monos[lo : lo + SITE_CHUNK])
         flat = mats.reshape(len(mats), -1)
         assert np.isin(flat, (0.0, 1.0)).all()
         assert ((flat == 1).sum(axis=1) == 1 << k).all()
-        assert np.array_equal(densify(ones[lo : lo + SITE_CHUNK]), mats)
+        assert_same_bits(densify(ones[lo : lo + SITE_CHUNK]), mats)
 
 
-@pytest.mark.parametrize("value", [2.0, 0.0, 1j])
-def test_site_stack_rejects_a_site_that_is_not_zero_one(monkeypatch, value):
-    # a 2, a missing one, or an imaginary one in place of one of the ones
-    mats = _site_matrices(enumerate_monomials(3))
-    row, col = np.argwhere(mats[1] == 1)[0]
-    mats[1, row, col] = value
-    monkeypatch.setattr(commutant, "_site_matrices", lambda monos: mats)
+@pytest.mark.parametrize("k", range(1, 7))
+def test_site_supports_are_k_dimensional_subspaces(k):
+    monos, ones = _site_stack(k)
+    mask = (1 << k) - 1
+    for mono, row in zip(monos, ones.tolist()):
+        support = set(row)
+        assert len(support) == 1 << k and 0 in support  # (0, 0)
+        assert all(a ^ b in support for a in row for b in row)  # XOR-closed
+        # the diagonal is {(y, y) : y orthogonal to every column}
+        diag = {p & mask for p in row if p >> k == p & mask}
+        want = {y for y in range(1 << k) if all((y & v).bit_count() % 2 == 0 for v in mono.v_cols)}
+        assert diag == want
+
+
+def repeated(ones):  # row 1 holds its first position twice, one fewer one
+    ones[1, 1] = ones[1, 0]
+    return ones
+
+
+def missing(ones):  # every row is one position short
+    return ones[:, 1:]
+
+
+def outside(ones):  # row 1 ends past the 2^k x 2^k site
+    ones[1, -1] = 1 << 6
+    return ones
+
+
+@pytest.mark.parametrize("corrupt", [repeated, missing, outside], ids=lambda f: f.__name__)
+def test_site_stack_rejects_a_site_that_is_not_zero_one(monkeypatch, corrupt):
+    ones = corrupt(_site_supports(enumerate_monomials(3)))
+    monkeypatch.setattr(commutant, "_site_supports", lambda monos: ones)
     with pytest.raises(InternalConsistencyError):
         _site_stack.__wrapped__(3)
 
@@ -169,7 +249,7 @@ def test_site_matrices_match_reference_on_k6_sample():
         sample += [monos[i] for i in sorted({idx[0], idx[len(idx) // 2], idx[-1]})]
     assert {mn.m for mn in sample} == set(range(6))
     want = np.stack([reference_site_matrix(mn) for mn in sample])
-    assert_same_bits(_site_matrices(sample), want)
+    assert_same_bits(label_tuple_site_matrices(sample), want)
     for mono, row in zip(sample, want):
         assert_same_bits(monomial_site_matrix(mono).matrix, row)
 
@@ -317,6 +397,43 @@ def test_weingarten_inverse_property():
         nmon = len(t.monomials)
         np.testing.assert_allclose(t.weingarten @ t.gram, np.eye(nmon), atol=1e-9)
         assert not t.pseudo
+
+
+# (sha256 prefix of gram, of weingarten, pseudo, gram_min_singular.hex()) of
+# weingarten_table(k, n).  The Gram entries are powers of two of the integer
+# alpha table, so their bits depend only on the site supports.  Weingarten
+# and singular-value bits come from LAPACK: they are pinned at k <= 4, where
+# they were the same with 1 and 2 OpenBLAS threads (OpenBLAS 0.3.31, x86-64);
+# at k = 5 they moved with the thread count, so only Gram and pseudo are.
+TABLE_BITS = {
+    (1, 1): ("6c3c396ed6b5c36d", "6c3c396ed6b5c36d", False, "0x1.0000000000000p+0"),
+    (1, 2): ("6c3c396ed6b5c36d", "6c3c396ed6b5c36d", False, "0x1.0000000000000p+0"),
+    (1, 3): ("6c3c396ed6b5c36d", "6c3c396ed6b5c36d", False, "0x1.0000000000000p+0"),
+    (2, 1): ("e858e8486c9b7e99", "d2539dcb3feb027c", False, "0x1.0000000000001p-1"),
+    (2, 2): ("a326be17bcdc42d4", "0a3d342203056d1e", False, "0x1.8000000000000p-1"),
+    (2, 3): ("f523a293509cb10a", "6a26fb2405790161", False, "0x1.c000000000000p-1"),
+    (3, 1): ("cd80b9d9898eaf87", "03a79a279135bee1", True, "0x1.d970fd51ef3fcp-55"),
+    (3, 2): ("20023cfa348bd301", "bd258bedad1fa489", False, "0x1.7ffffffffffffp-2"),
+    (3, 3): ("612ca0f65e412c82", "094ba313feb9375f", False, "0x1.5000000000001p-1"),
+    (4, 1): ("df98fd1eb08e0069", "48767639849f937a", True, "0x1.586754c8d3705p-57"),
+    (4, 2): ("10585de647ef3881", "bb2feca6757da6f6", True, "0x1.3c3b246886809p-55"),
+    (4, 3): ("b824467ba5c64db9", "1e9b60f97b4f8e88", False, "0x1.4ffffffffffffp-2"),
+    (5, 1): ("92925cce3faf06fe", None, True, None),
+    (5, 2): ("bd100f1c1e8b1776", None, True, None),
+    (5, 3): ("489b1cd98b8175fe", None, True, None),
+}
+
+
+@pytest.mark.parametrize("k,n", sorted(TABLE_BITS))
+def test_table_bits_are_pinned(k, n):
+    t = weingarten_table(k, n)
+    gram, weingarten, pseudo, min_singular = TABLE_BITS[k, n]
+    assert t.gram.dtype == t.weingarten.dtype == np.float64
+    assert hashlib.sha256(t.gram.tobytes()).hexdigest()[:16] == gram
+    assert t.pseudo is pseudo
+    if weingarten is not None:
+        assert hashlib.sha256(t.weingarten.tobytes()).hexdigest()[:16] == weingarten
+        assert t.gram_min_singular.hex() == min_singular
 
 
 def test_weingarten_pseudo_below_critical_n():
@@ -577,8 +694,9 @@ def test_clifford_index_forms_densify_to_the_kronecker_loop_bitwise(k, n):
     monos, _ = _site_stack(k)
     ones = _clifford_ones(k, n)
     assert ones.shape == (len(monos), 1 << (n * k)) and not ones.flags.writeable
+    sites = _site_stack(k)[1]
     for lo in range(0, len(monos), SITE_CHUNK):
-        want = kronecker_loop_stack(_site_matrices(monos[lo : lo + SITE_CHUNK]), k, n)
+        want = kronecker_loop_stack(densify(sites[lo : lo + SITE_CHUNK]), k, n)
         assert_same_bits(densify(ones[lo : lo + SITE_CHUNK]), want)
 
 

@@ -119,6 +119,42 @@ def test_malformed_config_is_validation_error(cfg):
         from_config(cfg)
 
 
+@pytest.mark.parametrize(
+    "cfg,key",
+    [
+        ({"variant": "haar", "n": 2, "t": 1}, "t"),
+        (
+            {
+                "variant": "homeopathy",
+                "n": 3,
+                "t": 1,
+                "inner": {"variant": "haar", "n": 1},
+                "samples": 9,
+            },
+            "samples",
+        ),
+        (
+            {
+                "variant": "homeopathy",
+                "n": 3,
+                "t": 1,
+                "inner": {
+                    "variant": "homeopathy",
+                    "n": 2,
+                    "t": 1,
+                    "inner": {"variant": "haar", "n": 1, "seed": 0},
+                },
+            },
+            "seed",
+        ),
+        ({"variant": "fixed_list", "unitaries": [[[1.0, 0.0]]], "n": 0}, "n"),
+    ],
+)
+def test_unknown_config_key_is_validation_error_naming_it(cfg, key):
+    with pytest.raises(ValidationError, match=f"unknown key {key!r}"):
+        from_config(cfg)
+
+
 @pytest.mark.parametrize("bad", [2.7, 2.0, True, "3", None, np.int64(2)])
 def test_config_qubit_counts_must_be_ints(bad):
     with pytest.raises(ValidationError):
@@ -180,16 +216,6 @@ def same_values(a, b) -> bool:
     return type(a) is not list and a == b
 
 
-def known_keys(cfg: dict) -> dict:
-    """cfg without the keys from_config ignores, the inner config alike."""
-    keys = {"fixed_list": ("unitaries",), "homeopathy": ("n", "t", "inner")}
-    keys = keys.get(cfg["variant"], ("n",))
-    out = {"variant": cfg["variant"], **{key: cfg[key] for key in keys}}
-    if "inner" in out:
-        out["inner"] = known_keys(out["inner"])
-    return out
-
-
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(_configs, _fields, st.lists(_fields, max_size=2)))
 def test_fuzzed_config_round_trips_or_is_validation_error(cfg):
@@ -197,7 +223,7 @@ def test_fuzzed_config_round_trips_or_is_validation_error(cfg):
         spec = from_config(cfg)
     except ValidationError:
         return
-    assert same_values(to_config(spec), known_keys(cfg))
+    assert same_values(to_config(spec), cfg)
     assert to_config(from_config(to_config(spec))) == to_config(spec)
 
 
