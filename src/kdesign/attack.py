@@ -274,6 +274,13 @@ class AdvantageRow:
         )
 
 
+def distinguish_vs_haar(source: CompressibleSource, *args, **kwargs) -> tuple[AttackReport, ...]:
+    """distinguish(source, ...), then distinguish of Haar states (the t = n
+    source) with the same arguments: both arms from one rng, in that order."""
+    haar = CompressibleSource(source.n, source.n)
+    return distinguish(source, *args, **kwargs), distinguish(haar, *args, **kwargs)
+
+
 def advantage_curve(
     source_t: list[int],
     n: int,
@@ -285,10 +292,7 @@ def advantage_curve(
     """Advantage over Haar per t, at the proof's l = 3t + 2 (k = 12t + 10)."""
     rows = []
     for t in sorted(set(source_t)):
-        if not 0 <= t <= n:
-            raise ValidationError("every t must satisfy 0 <= t <= n")
-        l = 3 * t + 2
-        src = distinguish(CompressibleSource(n, t), l, epsilon_t, trials, rng, thresholded)
-        ref = distinguish(CompressibleSource(n, n), l, epsilon_t, trials, rng, thresholded)
-        rows.append(AdvantageRow.from_reports(src, ref))
+        source = CompressibleSource(n, t)
+        arms = distinguish_vs_haar(source, 3 * t + 2, epsilon_t, trials, rng, thresholded)
+        rows.append(AdvantageRow.from_reports(*arms))
     return rows

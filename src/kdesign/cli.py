@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .attack import AdvantageRow, CompressibleSource, check_distinguish_args, distinguish
+from .attack import AdvantageRow, CompressibleSource, check_distinguish_args, distinguish_vs_haar
 from .commutant import (
     check_table_args,
     check_twirl_args,
@@ -34,9 +34,10 @@ from .commutant import (
     vandermonde_bound_check,
     weingarten_table,
 )
-from .ensembles import CliffordUniform, Haar, Homeopathy, _choi_dims, frame_potential, to_config
+from .ensembles import CliffordUniform, Haar, Homeopathy, frame_potential, to_config
 from .errors import InternalConsistencyError, ValidationError
-from .moments import decay_experiment, envelope_satisfied, fitted_log2_slope, monotone_above_floor
+from .moments import check_decay_args, decay_experiment, envelope_satisfied, fitted_log2_slope
+from .moments import monotone_above_floor
 
 OUTPUT_DIR_ENV = "KDESIGN_OUTPUT_DIR"
 MANIFEST_SCHEMA_VERSION = 1
@@ -49,6 +50,9 @@ DECAY_COLUMNS = "t,distance,stderr,floor,samples,seed"
 TRIAL_COLUMNS = "trial,statistic"
 TWIRL_COLUMNS = "input,clifford_vs_haar,idempotence_error"
 VANDERMONDE_COLUMNS = "i,row_sum,bound,ratio"
+
+# recorded in every manifest: LAPACK bits, and so k = 5 table archives, move with them
+THREAD_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _csv(header: str, rows) -> str:
@@ -89,17 +93,19 @@ def _record(
         "spec": spec,
         "artifacts": [os.path.basename(p) for p in paths],
         "wall_time_seconds": time.monotonic() - started,
+        "numerics": {"numpy": np.__version__, "cpu_count": os.cpu_count()}
+        | {var: os.environ.get(var) for var in THREAD_ENV_VARS},
     }
     write(f"{stem}.manifest.json", _json(manifest))
     return paths
 
 
-def _parse_list(flag: str, text: str) -> list[int]:
-    """'1..5' -> [1,2,3,4,5]; '1,3,5' -> [1,3,5]; '3' -> [3]."""
+def _parse_list(flag: str, text: str) -> range | list[int]:
+    """'1..5' -> range(1, 6), never listed here; '1,3,5' -> [1,3,5]; '3' -> [3]."""
     try:
         if ".." in text:
             lo, hi = text.split("..", 1)
-            values = list(range(int(lo), int(hi) + 1))
+            values = range(int(lo), int(hi) + 1)
         else:
             values = [int(part) for part in text.split(",")]
     except ValueError:
@@ -111,17 +117,18 @@ def _parse_list(flag: str, text: str) -> list[int]:
     return values
 
 
-def _for_each(body, check, args: argparse.Namespace, **values: list[int]) -> int:
+def _for_each(body, check, args: argparse.Namespace, **values) -> int:
     """Run a single-value body once per combination of the listed values, in
-    order, after `check` has accepted every combination.  Each run re-seeds
-    from --seed, so it writes the same bytes as the run with that value
-    alone."""
-    runs = [
-        argparse.Namespace(**{**vars(args), **dict(zip(values, combo))})
-        for combo in itertools.product(*values.values())
-    ]
-    for run in runs:
-        check(run)
+    order, after `check` has accepted every combination, those of each
+    list's two ends first (so a range out of bounds fails unlisted).  Each
+    run re-seeds from --seed, so it writes the bytes of its value alone."""
+    for lists in ({f: (*v[:1], *v[-1:]) for f, v in values.items()}, values):
+        runs = [
+            argparse.Namespace(**{**vars(args), **dict(zip(lists, combo))})
+            for combo in itertools.product(*lists.values())
+        ]
+        for run in runs:
+            check(run)
     for run in runs:
         body(run)
     return 0
@@ -189,12 +196,12 @@ def cmd_frame_potential(args: argparse.Namespace) -> int:
 def cmd_decay(args: argparse.Namespace) -> int:
     ks = _parse_list("--k", args.k)
     args.t = _parse_list("--t", args.t)  # one sweep over t per run
-    return _for_each(_decay, lambda a: _choi_dims(Haar(a.n), a.k), args, k=ks)
+    return _for_each(_decay, lambda a: check_decay_args(a.n, a.k, a.t), args, k=ks)
 
 
 def _decay(args: argparse.Namespace) -> None:
     started = time.monotonic()
-    ts = args.t
+    ts = list(args.t)
     report = decay_experiment(args.n, args.k, ts, args.samples, _rng(args.seed))
     rows = [(r.t, r.distance, r.stderr, r.floor, r.samples, args.seed) for r in report.rows]
     [path] = _record(
@@ -223,17 +230,8 @@ def _distinguish(args: argparse.Namespace) -> None:
     started = time.monotonic()
     rng = _rng(args.seed)
     l = args.l if args.l is not None else 3 * args.t + 2
-    # the source arm draws first, then the Haar arm (t = n), from one stream
-    source_report, haar_report = (
-        distinguish(
-            CompressibleSource(args.n, t),
-            l,
-            args.epsilon_t,
-            args.trials,
-            rng,
-            thresholded=args.thresholded,
-        )
-        for t in (args.t, args.n)
+    source_report, haar_report = distinguish_vs_haar(
+        CompressibleSource(args.n, args.t), l, args.epsilon_t, args.trials, rng, args.thresholded
     )
     row = AdvantageRow.from_reports(source_report, haar_report)
     summary = {

@@ -4,13 +4,13 @@ The k-copy commutant is spanned by monomial operators that factorize over
 qubit sites: each monomial is determined by an m-dimensional subspace of the
 even-weight subspace of F_2^k together with a symmetric zero-diagonal phase
 matrix M, and its full-register form is the n-fold tensor power of a single
-2^k x 2^k site operator.  This module enumerates canonical monomials, builds
-their matrices, computes the integer alpha-distance and the Gram/Weingarten
-tables, and builds one (inverse Gram, index set) pair per basis:
-_clifford_basis over the monomials, _haar_basis over the permutations.
-Both pairs come from cached read-only arrays, and both Gram matrices are
-inverted by _stable_inverse under one cutoff.  Both twirls are the one
-projection _commutant_project onto such a span.
+2^k x 2^k site operator.  This module enumerates canonical monomials and
+reads every commutant integer off their site supports T (below): alpha by
+one kernel, _alpha, and the trace-norm exponent without an SVD.  gram_matrix
+is the read-only G = 2^(-n alpha); weingarten_table, the one WeingartenTable
+builder, inverts it.  Each basis has one cached read-only (inverse Gram,
+index set) pair, _clifford_basis or _haar_basis, inverted by _stable_inverse
+under one cutoff; both twirls are the one projection _commutant_project.
 
 Index sets: the ones of a site matrix are a k-dimensional subspace T of
 F_2^k x F_2^k, and _site_supports builds their 2^k positions from T in
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -220,28 +220,32 @@ def _integer_exponent(values, k: int, what: str) -> np.ndarray:
     return r.astype(np.int64)
 
 
-def _alpha_from_sites(site_a: np.ndarray, site_b: np.ndarray, k: int) -> int:
-    tr = np.vdot(site_a, site_b)  # trace of a^dagger b
-    if abs(tr.imag) > 1e-9:
-        raise InternalConsistencyError("site overlap came out complex")
-    return int(_integer_exponent(tr.real, k, "alpha"))
+def _incidence(ones: np.ndarray, size: int) -> np.ndarray:
+    """The real 0/1 (s, size) matrix with row a set to 1 at ones[a]."""
+    x = np.zeros((len(ones), size))
+    np.put_along_axis(x, ones, 1.0, axis=1)
+    return x
+
+
+def _alpha(ones: np.ndarray, k: int) -> np.ndarray:
+    """alpha between every two rows of _site_supports: tr(A^dagger B) =
+    |T_a & T_b|, the ones they share, counted by one real 0/1 GEMM."""
+    x = _incidence(ones, 1 << (2 * k))
+    return _integer_exponent(x @ x.T, k, "alpha")
 
 
 def alpha(a: PauliMonomial, b: PauliMonomial) -> int:
     """Integer exponent with tr(A^dagger B) = d^(k - alpha) for every n."""
     if a.k != b.k:
         raise ValidationError("monomials must share the copy count")
-    return _alpha_from_sites(
-        monomial_site_matrix(a).matrix, monomial_site_matrix(b).matrix, a.k
-    )
+    return int(_alpha(_site_supports([a, b]), a.k)[0, 1])
 
 
 def trace_norm_exponent(mono: PauliMonomial) -> int:
-    """m_p with trace norm d^(k - m_p), from single-site singular values."""
-    if mono.k > MAX_TABLE_COPIES:
-        raise ValidationError(f"trace-norm exponent supports k <= {MAX_TABLE_COPIES}")
-    s = float(np.linalg.svd(monomial_site_matrix(mono).matrix, compute_uv=False).sum())
-    return int(_integer_exponent(s, mono.k, "trace-norm exponent"))
+    """m_p with trace norm d^(k - m_p), m_p = log2 |N| for N = {x : (x, 0) in
+    T}: a site matrix has 2^k / |N|^2 nonzero singular values, all |N|."""
+    defect = np.count_nonzero((_site_supports([mono])[0] & ((1 << mono.k) - 1)) == 0)
+    return int(defect).bit_length() - 1
 
 
 # ---------------------------------------------------------------------------
@@ -256,23 +260,15 @@ class WeingartenTable:
     n: int
     monomials: tuple[PauliMonomial, ...]
     gram: np.ndarray
-    weingarten: np.ndarray | None
+    weingarten: np.ndarray
     pseudo: bool
     gram_min_singular: float
-
-
-def _incidence(ones: np.ndarray, size: int) -> np.ndarray:
-    """The real 0/1 (s, size) matrix with row a set to 1 at ones[a]."""
-    x = np.zeros((len(ones), size))
-    np.put_along_axis(x, ones, 1.0, axis=1)
-    return x
 
 
 @lru_cache(maxsize=None)
 def _alpha_table(k: int) -> np.ndarray:
     _, ones = _site_stack(k)
-    x = _incidence(ones, 1 << (2 * k))
-    out = _integer_exponent(x @ x.T, k, "alpha")  # tr(A^dagger B) counts shared ones
+    out = _alpha(ones, k)
     out.flags.writeable = False
     return out
 
@@ -285,19 +281,12 @@ def check_table_args(k: int, n: int) -> None:
         raise ValidationError("need n >= 1")
 
 
-def _gram(k: int, n: int) -> tuple[WeingartenTable, np.ndarray]:
-    """gram_matrix's table and the singular values of its Gram matrix."""
+def gram_matrix(k: int, n: int) -> np.ndarray:
+    """G[a, b] = tr(A^dagger B) / d^k = d^(-alpha_ab) with d = 2^n, read-only."""
     check_table_args(k, n)
-    monos, _ = _site_stack(k)
     g = np.power(2.0, -float(n) * _alpha_table(k))
-    s = np.linalg.svd(g, compute_uv=False)
     g.flags.writeable = False
-    return WeingartenTable(k, n, monos, g, None, False, float(s.min())), s
-
-
-def gram_matrix(k: int, n: int) -> WeingartenTable:
-    """G[i,j] = d^(-alpha_ij) with d = 2^n; W left unset."""
-    return _gram(k, n)[0]
+    return g
 
 
 # Every singular value of every reachable Gram matrix (monomials k <= 5,
@@ -321,11 +310,12 @@ def _stable_inverse(mat: np.ndarray, s: np.ndarray | None = None) -> tuple[np.nd
 @lru_cache(maxsize=None)
 def weingarten_table(k: int, n: int) -> WeingartenTable:
     """Gram matrix plus its inverse (pseudoinverse with flag when singular)."""
-    base, s = _gram(k, n)
-    w, pseudo = _stable_inverse(base.gram, s)
+    g = gram_matrix(k, n)
+    s = np.linalg.svd(g, compute_uv=False)
+    w, pseudo = _stable_inverse(g, s)
     w = 0.5 * (w + w.T)  # G is symmetric; keep its inverse exactly so
     w.flags.writeable = False
-    return replace(base, weingarten=w, pseudo=pseudo)
+    return WeingartenTable(k, n, _site_stack(k)[0], g, w, pseudo, float(s.min()))
 
 
 # ---------------------------------------------------------------------------
@@ -538,8 +528,6 @@ ARCHIVE_SCHEMA_VERSION = 1
 
 def export_weingarten_table(table: WeingartenTable) -> str:
     """Diff-friendly JSON archive text with exact (hex) float serialization."""
-    if table.weingarten is None:
-        raise ValidationError("table has no Weingarten part; build it with weingarten_table")
     doc = {
         "schema_version": ARCHIVE_SCHEMA_VERSION,
         "kind": "weingarten_table",

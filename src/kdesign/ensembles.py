@@ -24,7 +24,7 @@ from typing import Union
 import numpy as np
 
 from .commutant import _clifford_basis, _haar_basis, _incidence
-from .dense import MAX_DENSE_DIM, DenseOperator, haar_unitary, query_output_state
+from .dense import MAX_DENSE_DIM, MAX_DENSE_QUBITS, DenseOperator, haar_unitary, query_output_state
 from .errors import InternalConsistencyError, ValidationError
 from .pauli import cliffords_to_matrices, enumerate_cliffords, random_tableau
 
@@ -305,13 +305,12 @@ def frame_potential(
 def _choi_dims(spec: EnsembleSpec, k: int) -> tuple[int, int]:
     if k < 1:
         raise ValidationError("need k >= 1")
-    d = 1 << spec.n_qubits
-    big = d**k
-    if big * big > MAX_DENSE_DIM:
+    if 2 * k * spec.n_qubits > MAX_DENSE_QUBITS:  # exponents, so a huge k builds no huge int
         raise ValidationError(
-            f"Choi dimension {big}^2 exceeds the dense limit {MAX_DENSE_DIM}"
+            f"Choi dimension 2^{2 * k * spec.n_qubits} exceeds the dense limit {MAX_DENSE_DIM}"
         )
-    return d, big
+    d = 1 << spec.n_qubits
+    return d, d**k
 
 
 def moment_choi(

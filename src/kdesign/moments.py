@@ -42,6 +42,7 @@ from .ensembles import (
     Haar,
     Homeopathy,
     _check_trace,
+    _choi_dims,
     _choi_vectors,
     adaptive_output_state,
     exact_moment_choi,
@@ -239,6 +240,16 @@ def adaptive_distance(
     return DistanceEstimate(value, stderr, floor, per * NUM_BATCHES)
 
 
+def check_decay_args(n: int, k: int, t_list) -> None:
+    """ValidationError unless decay_experiment accepts (n, k, t_list); a
+    range past n fails at its ends, before any of its values is listed."""
+    if not t_list:
+        raise ValidationError("need at least one t")
+    if not all(1 <= t <= n for ts in ((*t_list[:1], *t_list[-1:]), t_list) for t in ts):
+        raise ValidationError("every t must satisfy 1 <= t <= n")
+    _choi_dims(Haar(n), k)
+
+
 def decay_experiment(
     n: int,
     k: int,
@@ -251,11 +262,8 @@ def decay_experiment(
     The Haar reference is the closed-form Choi state; choi_trace_distance
     is the two-sided Monte Carlo path.
     """
+    check_decay_args(n, k, t_list)
     ts = sorted(set(t_list))
-    if not ts:
-        raise ValidationError("need at least one t")
-    if ts[0] < 1 or ts[-1] > n:
-        raise ValidationError("every t must satisfy 1 <= t <= n")
     ref = exact_moment_choi(Haar(n), k)
     scalar = _scalar(ref) is not None
     rows = []

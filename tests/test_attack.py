@@ -16,6 +16,7 @@ from kdesign.attack import (
     advantage_curve,
     compress,
     distinguish,
+    distinguish_vs_haar,
     make_compressible,
     sample_attack_statistic,
 )
@@ -248,6 +249,14 @@ def test_advantage_curve_rows():
     assert abs(tn.advantage) <= 3 * tn.stderr + 1e-9
     with pytest.raises(ValidationError):
         advantage_curve([5], 4, 10, rng)
+
+
+def test_distinguish_vs_haar_runs_the_source_arm_then_the_haar_arm():
+    src, haar = distinguish_vs_haar(CompressibleSource(3, 1), 5, 0.5, 8, np.random.default_rng(7))
+    rng = np.random.default_rng(7)
+    assert src == distinguish(CompressibleSource(3, 1), 5, 0.5, 8, rng)
+    assert haar == distinguish(CompressibleSource(3, 3), 5, 0.5, 8, rng)
+    assert (src.t, haar.t) == (1, 3)
 
 
 def test_report_serialization(tmp_path):

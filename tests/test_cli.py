@@ -9,8 +9,10 @@ import json
 import re
 import shlex
 import tempfile
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -115,7 +117,9 @@ def test_twirl_check_flags_three_design(tmp_path, capsys):
         assert float(line.split(",")[1]) < 1e-10
 
 
-def test_manifest_contents(tmp_path):
+def test_manifest_contents(tmp_path, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     assert run(["vandermonde", "--k", "3", "--out", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "vandermonde_k3.manifest.json").read_text())
     assert doc["schema_version"] == 1
@@ -125,6 +129,10 @@ def test_manifest_contents(tmp_path):
     assert doc["artifacts"] == ["vandermonde_k3.csv"]
     assert doc["wall_time_seconds"] >= 0
     assert isinstance(doc["tool_version"], str)
+    numerics = doc["numerics"]
+    assert set(numerics) == {"numpy", "cpu_count", *cli.THREAD_ENV_VARS}
+    assert numerics["numpy"] == np.__version__
+    assert numerics["OMP_NUM_THREADS"] == "3" and numerics["MKL_NUM_THREADS"] is None
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch):
@@ -162,7 +170,7 @@ def test_unknown_flag_is_usage_error():
 
 
 def test_t_range_parsing():
-    assert cli._parse_list("--t", "1..4") == [1, 2, 3, 4]
+    assert cli._parse_list("--t", "1..4") == range(1, 5)
     assert cli._parse_list("--t", "2,5,3") == [2, 5, 3]
     assert cli._parse_list("--t", "3") == [3]
 
@@ -189,6 +197,38 @@ def test_bad_t_range_exits_2(tmp_path, capsys, argv, flag):
     assert run(argv + ["--out", str(tmp_path)]) == 2
     assert f"{flag} takes a range" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+# 10^11 values: listing them would take 800 GB; 10^30 has no len()
+HUGE, HUGER = str(10**11), str(10**30)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["distinguish", "--n", "6", "--t", f"0..{HUGE}", "--trials", "1", "--seed", "1"],
+        ["distinguish", "--n", "6", "--t", f"0..{HUGER}", "--trials", "1", "--seed", "1"],
+        ["distinguish", "--n", "6", "--t", f"{HUGE}..{HUGER}", "--trials", "1", "--seed", "1"],
+        DECAY + ["--k", "1", "--t", f"1..{HUGE}"],
+        DECAY + ["--k", "1", "--t", f"1..{HUGER}"],
+        DECAY + ["--k", f"1..{HUGE}", "--t", "1"],
+        ["commutant", "--k", f"2..{HUGE}", "--n", "1"],
+        ["commutant", "--k", "2", f"--n=-{HUGE}..2"],
+    ],
+    ids=lambda argv: f"{argv[0]}-{'-'.join(a for a in argv if '..' in a)}",
+)
+def test_huge_range_with_a_bad_value_exits_2_without_listing_it(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        code = run(argv + ["--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert peak < 1 << 20  # nothing per value
+    assert not out.exists()
 
 
 # one list run against the single-value runs it stands for

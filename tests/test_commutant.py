@@ -13,11 +13,11 @@ import pytest
 from kdesign import commutant
 from kdesign.commutant import (
     PauliMonomial,
-    _alpha_from_sites,
     _alpha_table,
     _clifford_ones,
     _digit_permutation,
     _fraction_inverse,
+    _RCOND,
     _haar_basis,
     _integer_exponent,
     _site_stack,
@@ -312,13 +312,23 @@ def test_alpha_basics():
         alpha(ident, enumerate_monomials(3)[0])
 
 
+def dense_alpha(sites_a: np.ndarray, sites_b: np.ndarray, k: int) -> np.ndarray:
+    """alpha from the dense overlaps tr(A^dagger B) = 2^(k - alpha) of two
+    stacks of site matrices."""
+    tr = np.einsum("aij,bij->ab", sites_a.conj(), sites_b)
+    assert np.abs(tr.imag).max() < 1e-9
+    return _integer_exponent(tr.real, k, "alpha")
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_alpha_table_matches_pairwise_alpha(k):
     monos = enumerate_monomials(k)
-    want = np.array([[alpha(a, b) for b in monos] for a in monos])
+    sites = np.stack([reference_site_matrix(m) for m in monos])
+    want = dense_alpha(sites, sites, k)
     table = _alpha_table(k)
     assert table.dtype == np.int64
     assert np.array_equal(table, want)
+    assert np.array_equal([[alpha(a, b) for b in monos] for a in monos], want)
 
 
 def test_integer_exponent_rejects_bad_overlaps():
@@ -335,13 +345,10 @@ def test_integer_exponent_rejects_bad_overlaps():
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_alpha_property_suite(k):
     monos = enumerate_monomials(k)
-    sites = [monomial_site_matrix(m).matrix for m in monos]
+    sites = np.stack([reference_site_matrix(m) for m in monos])
     mps = [trace_norm_exponent(m) for m in monos]
     nmon = len(monos)
-    a = np.zeros((nmon, nmon), dtype=int)
-    for i in range(nmon):
-        for j in range(nmon):
-            a[i, j] = _alpha_from_sites(sites[i], sites[j], k)
+    a = dense_alpha(sites, sites, k)
     assert np.array_equal(a, a.T)
     for i in range(nmon):
         for j in range(nmon):
@@ -350,9 +357,8 @@ def test_alpha_property_suite(k):
             assert a[i, j] >= abs(monos[i].m - monos[j].m)
             assert a[i, j] >= abs(mps[i] - mps[j])
     # triangle inequality against every permutation operator
-    perm_sites = [permutation_matrix(p, 2) for p in itertools.permutations(range(k))]
-    for t in perm_sites:
-        ap = [_alpha_from_sites(s, t, k) for s in sites]
+    perm_sites = np.stack([permutation_matrix(p, 2) for p in itertools.permutations(range(k))])
+    for ap in dense_alpha(perm_sites, sites, k):
         for i in range(nmon):
             for j in range(nmon):
                 assert a[i, j] <= ap[i] + ap[j]
@@ -366,22 +372,38 @@ def test_trace_norm_exponent_examples():
     assert min(ks) == 0 and max(ks) >= 1
 
 
+@pytest.mark.parametrize("k", range(1, 7))
+def test_trace_norm_exponent_matches_dense_singular_values(k):
+    monos = enumerate_monomials(k)[::96]  # every monomial to k = 5, 48 at k = 6
+    s = np.linalg.svd(label_tuple_site_matrices(monos), compute_uv=False)
+    want = _integer_exponent(s.sum(axis=1), k, "trace norm")
+    assert [trace_norm_exponent(m) for m in monos] == want.tolist()
+
+
 # ---------------------------------------------------------------------------
 # Gram / Weingarten tables
 
 
 def test_gram_k2_n1_exact():
-    t = gram_matrix(2, 1)
-    np.testing.assert_allclose(t.gram, [[1, 0.5], [0.5, 1]], atol=1e-15)
-    assert t.gram_min_singular == pytest.approx(0.5)
+    g = gram_matrix(2, 1)
+    np.testing.assert_allclose(g, [[1, 0.5], [0.5, 1]], atol=1e-15)
+    assert np.linalg.svd(g, compute_uv=False).min() == pytest.approx(0.5)
 
 
 def test_gram_diagonal_and_nonsingular():
     for k, n in ((2, 1), (3, 2), (4, 3), (5, 4)):
-        t = gram_matrix(k, n)
-        np.testing.assert_allclose(np.diag(t.gram), 1.0, atol=1e-15)
-        np.testing.assert_allclose(t.gram, t.gram.T, atol=1e-15)
-        assert t.gram_min_singular > 0
+        g = gram_matrix(k, n)
+        np.testing.assert_allclose(np.diag(g), 1.0, atol=1e-15)
+        np.testing.assert_allclose(g, g.T, atol=1e-15)
+        assert np.linalg.svd(g, compute_uv=False).min() > 0
+
+
+@pytest.mark.parametrize("k,n", [(2, 1), (3, 1), (4, 2), (5, 3)])
+def test_weingarten_table_holds_the_read_only_gram_matrix(k, n):
+    g, t = gram_matrix(k, n), weingarten_table(k, n)
+    assert not g.flags.writeable and not t.gram.flags.writeable
+    assert_same_bits(t.gram, g)
+    assert t.gram_min_singular == np.linalg.svd(g, compute_uv=False).min()
 
 
 def test_weingarten_k2_n1_exact():
@@ -442,6 +464,21 @@ def test_weingarten_pseudo_below_critical_n():
     # W G is still the projector onto the Gram row space
     p = t.weingarten @ t.gram
     np.testing.assert_allclose(p @ p, p, atol=1e-9)
+
+
+def test_rcond_falls_in_the_spectral_gap_of_every_reachable_gram_matrix():
+    # the claim of the comment at _RCOND: no singular value ratio s / s.max()
+    # lies between 1e-13 and 2e-3, so no cutoff there changes a branch or a value
+    grams = [gram_matrix(k, n) for k in range(1, 6) for n in range(1, 7)]
+    grams += [permutation_gram(k, d) for k in range(1, 7) for d in (2, 4, 8, 16)]
+    ratios = []
+    for g in grams:
+        s = np.linalg.svd(g, compute_uv=False)
+        ratios.extend(s / s.max())
+    ratios = np.array(ratios)
+    assert 1e-13 < _RCOND < 2e-3
+    assert ratios[ratios < _RCOND].max() < 1e-13
+    assert ratios[ratios >= _RCOND].min() > 2e-3
 
 
 def test_weingarten_fraction_oracle():
@@ -748,8 +785,3 @@ def test_archive_round_trip(tmp_path):
     assert back.gram_min_singular == t.gram_min_singular
     # exporting twice is byte-identical
     assert export_weingarten_table(t) == path.read_text()
-
-
-def test_archive_rejects_gram_only():
-    with pytest.raises(ValidationError):
-        export_weingarten_table(gram_matrix(2, 1))
