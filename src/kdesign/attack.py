@@ -280,19 +280,3 @@ def distinguish_vs_haar(source: CompressibleSource, *args, **kwargs) -> tuple[At
     haar = CompressibleSource(source.n, source.n)
     return distinguish(source, *args, **kwargs), distinguish(haar, *args, **kwargs)
 
-
-def advantage_curve(
-    source_t: list[int],
-    n: int,
-    trials: int,
-    rng: np.random.Generator,
-    epsilon_t: float = 0.5,
-    thresholded: bool = False,
-) -> list[AdvantageRow]:
-    """Advantage over Haar per t, at the proof's l = 3t + 2 (k = 12t + 10)."""
-    rows = []
-    for t in sorted(set(source_t)):
-        source = CompressibleSource(n, t)
-        arms = distinguish_vs_haar(source, 3 * t + 2, epsilon_t, trials, rng, thresholded)
-        rows.append(AdvantageRow.from_reports(*arms))
-    return rows

@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -43,6 +44,7 @@ OUTPUT_DIR_ENV = "KDESIGN_OUTPUT_DIR"
 MANIFEST_SCHEMA_VERSION = 1
 ATTACK_SCHEMA_VERSION = 1
 LIST_HELP = "a value, a range '1..5' or a list '1,3,5'; one run per value"
+MAX_LIST_RUNS = 1000  # runs one command may start over its list-valued flags
 
 # CSV headers, each written once: the artifacts and the --help epilogs use them
 FRAME_POTENTIAL_COLUMNS = "ensemble,n,k,samples,estimate,stderr,seed"
@@ -119,16 +121,18 @@ def _parse_list(flag: str, text: str) -> range | list[int]:
 
 def _for_each(body, check, args: argparse.Namespace, **values) -> int:
     """Run a single-value body once per combination of the listed values, in
-    order, after `check` has accepted every combination, those of each
-    list's two ends first (so a range out of bounds fails unlisted).  Each
-    run re-seeds from --seed, so it writes the bytes of its value alone."""
-    for lists in ({f: (*v[:1], *v[-1:]) for f, v in values.items()}, values):
-        runs = [
-            argparse.Namespace(**{**vars(args), **dict(zip(lists, combo))})
-            for combo in itertools.product(*lists.values())
-        ]
-        for run in runs:
-            check(run)
+    order, once their count (a range's read from its ends, so nothing is
+    listed) is at most MAX_LIST_RUNS and `check` has accepted every one.
+    Each run re-seeds from --seed, so it writes the bytes of its value alone."""
+    count = math.prod(v.stop - v.start if isinstance(v, range) else len(v) for v in values.values())
+    if count > MAX_LIST_RUNS:
+        raise ValidationError(f"the lists make {count} runs, more than {MAX_LIST_RUNS}")
+    runs = [
+        argparse.Namespace(**{**vars(args), **dict(zip(values, combo))})
+        for combo in itertools.product(*values.values())
+    ]
+    for run in runs:
+        check(run)
     for run in runs:
         body(run)
     return 0

@@ -296,26 +296,23 @@ def gram_matrix(k: int, n: int) -> np.ndarray:
 _RCOND = 1e-10
 
 
-def _stable_inverse(mat: np.ndarray, s: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
-    """(inverse, False), or (pseudoinverse at _RCOND, True) when the ratio of
-    the extreme singular values s of mat (computed when not given) falls
-    below _RCOND."""
-    if s is None:
-        s = np.linalg.svd(mat, compute_uv=False)
-    if s.min() / s.max() < _RCOND:
-        return np.linalg.pinv(mat, rcond=_RCOND), True
-    return np.linalg.inv(mat), False
+def _stable_inverse(mat: np.ndarray) -> tuple[np.ndarray, bool, float]:
+    """(inverse, False, smallest singular value s_min of mat), or the
+    pseudoinverse at _RCOND and True when s_min / s_max falls below _RCOND."""
+    s = np.linalg.svd(mat, compute_uv=False)
+    pseudo = bool(s.min() / s.max() < _RCOND)
+    w = np.linalg.pinv(mat, rcond=_RCOND) if pseudo else np.linalg.inv(mat)
+    return w, pseudo, float(s.min())
 
 
 @lru_cache(maxsize=None)
 def weingarten_table(k: int, n: int) -> WeingartenTable:
     """Gram matrix plus its inverse (pseudoinverse with flag when singular)."""
     g = gram_matrix(k, n)
-    s = np.linalg.svd(g, compute_uv=False)
-    w, pseudo = _stable_inverse(g, s)
+    w, pseudo, s_min = _stable_inverse(g)
     w = 0.5 * (w + w.T)  # G is symmetric; keep its inverse exactly so
     w.flags.writeable = False
-    return WeingartenTable(k, n, _site_stack(k)[0], g, w, pseudo, float(s.min()))
+    return WeingartenTable(k, n, _site_stack(k)[0], g, w, pseudo, s_min)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +443,7 @@ def _haar_basis(k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """(inverse of tr(T_pi^dagger T_sigma), ones of each T_pi) over S_k; a
     pseudoinverse where d < k makes the T_pi dependent."""
     ones = np.stack([_permutation_ones(p, d) for p in itertools.permutations(range(k))])
-    w, _ = _stable_inverse(permutation_gram(k, d))
+    w, *_ = _stable_inverse(permutation_gram(k, d))
     w.flags.writeable = ones.flags.writeable = False
     return w, ones
 

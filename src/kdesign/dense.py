@@ -194,32 +194,21 @@ def flat_index_to_pauli(f: int, n: int) -> PauliString:
 
 
 def bell_difference_sample(
-    psi,
-    rng: np.random.Generator,
-    path: str = "table",
-    table: np.ndarray | None = None,
+    psi, rng: np.random.Generator, table: np.ndarray | None = None
 ) -> PauliString:
-    """One phaseless Pauli distributed as the Bell difference distribution.
+    """One phaseless Pauli from the operational procedure: two independent
+    Bell-basis measurements on psi x psi, outcomes multiplied.
 
-    path "measure" simulates the operational procedure: two independent
-    Bell-basis measurements on psi x psi, outcomes multiplied.  path "table"
-    draws directly from the XOR self-convolution of the characteristic
-    distribution; the two agree in distribution.  A precomputed table (the
-    Bell table for "measure", the difference table for "table") skips the
+    This is the measurement oracle for bell_difference_table, from which the
+    attack draws directly.  A precomputed Bell table of psi skips the
     per-call transform.
     """
     amps = _amps(psi)
     n = _qubit_count(amps)
     _check_table_size(n)
-    if path == "table":
-        t = bell_difference_table(amps) if table is None else table
-        f = int(draw_from_table(t, rng, 1)[0])
-        return flat_index_to_pauli(f, n)
-    if path == "measure":
-        t = bell_table(amps) if table is None else table
-        f1, f2 = (int(v) for v in draw_from_table(t, rng, 2))
-        return flat_index_to_pauli(f1 ^ f2, n)
-    raise ValidationError(f"unknown sampling path {path!r}")
+    t = bell_table(amps) if table is None else table
+    f1, f2 = (int(v) for v in draw_from_table(t, rng, 2))
+    return flat_index_to_pauli(f1 ^ f2, n)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ also hands the sampled Choi vectors themselves to the moments module
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
 from dataclasses import dataclass
@@ -39,44 +40,37 @@ _PASS_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
-class Haar:
+class _Register:
+    """A spec whose first field, n, is its register size in qubits."""
+
     n: int
 
+    @property
+    def n_qubits(self) -> int:
+        return self.n
+
+
+@dataclass(frozen=True)
+class Haar(_Register):
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValidationError("Haar ensemble needs n >= 1")
 
-    @property
-    def n_qubits(self) -> int:
-        return self.n
-
 
 @dataclass(frozen=True)
-class CliffordUniform:
-    n: int
-
+class CliffordUniform(_Register):
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValidationError("Clifford ensemble needs n >= 1")
 
-    @property
-    def n_qubits(self) -> int:
-        return self.n
-
 
 @dataclass(frozen=True)
-class CliffordEnumerated:
-    n: int
-
+class CliffordEnumerated(_Register):
     def __post_init__(self) -> None:
         if not 1 <= self.n <= MAX_ENUMERATED_QUBITS:
             raise ValidationError(
                 f"enumerated Clifford group supports 1 <= n <= {MAX_ENUMERATED_QUBITS}"
             )
-
-    @property
-    def n_qubits(self) -> int:
-        return self.n
 
 
 @dataclass(frozen=True)
@@ -101,10 +95,9 @@ class FixedList:
 
 
 @dataclass(frozen=True)
-class Homeopathy:
+class Homeopathy(_Register):
     """C1 (U_t x I) C2 with C1, C2 uniform Clifford and U_t from `inner`."""
 
-    n: int
     t: int
     inner: "EnsembleSpec"
 
@@ -113,10 +106,6 @@ class Homeopathy:
             raise ValidationError("need 1 <= t <= n")
         if self.inner.n_qubits != self.t:
             raise ValidationError("inner ensemble must act on exactly t qubits")
-
-    @property
-    def n_qubits(self) -> int:
-        return self.n
 
 
 EnsembleSpec = Union[Haar, CliffordUniform, CliffordEnumerated, FixedList, Homeopathy]
@@ -192,37 +181,25 @@ def enumerate_unitaries(spec: EnsembleSpec) -> tuple[DenseOperator, ...]:
 # config serialization
 
 
-def to_config(spec: EnsembleSpec) -> dict:
-    if isinstance(spec, Haar):
-        return {"variant": "haar", "n": spec.n}
-    if isinstance(spec, CliffordUniform):
-        return {"variant": "clifford_uniform", "n": spec.n}
-    if isinstance(spec, CliffordEnumerated):
-        return {"variant": "clifford_enumerated", "n": spec.n}
-    if isinstance(spec, Homeopathy):
-        return {
-            "variant": "homeopathy",
-            "n": spec.n,
-            "t": spec.t,
-            "inner": to_config(spec.inner),
-        }
-    if isinstance(spec, FixedList):
-        mats = [
-            [[[float(z.real), float(z.imag)] for z in row] for row in u.matrix]
-            for u in spec.unitaries
-        ]
-        return {"variant": "fixed_list", "unitaries": mats}
-    raise ValidationError(f"unknown ensemble spec {spec!r}")
-
-
-# the keys each variant's config holds besides "variant"
-_CONFIG_KEYS = {
-    "haar": ("n",),
-    "clifford_uniform": ("n",),
-    "clifford_enumerated": ("n",),
-    "homeopathy": ("n", "t", "inner"),
-    "fixed_list": ("unitaries",),
+# The config of a spec is {"variant": its name here} plus one key per
+# dataclass field, in field order.
+_VARIANTS = {
+    "haar": Haar,
+    "clifford_uniform": CliffordUniform,
+    "clifford_enumerated": CliffordEnumerated,
+    "homeopathy": Homeopathy,
+    "fixed_list": FixedList,
 }
+
+
+def to_config(spec: EnsembleSpec) -> dict:
+    names = [name for name, cls in _VARIANTS.items() if type(spec) is cls]
+    if not names:
+        raise ValidationError(f"unknown ensemble spec {spec!r}")
+    cfg = {"variant": names[0]}
+    for f in dataclasses.fields(spec):
+        cfg[f.name] = _FIELD_CODECS.get(f.name, _INT_CODEC)[0](getattr(spec, f.name))
+    return cfg
 
 
 def from_config(cfg: dict) -> EnsembleSpec:
@@ -232,15 +209,16 @@ def from_config(cfg: dict) -> EnsembleSpec:
         variant = cfg["variant"]
     except (TypeError, KeyError):
         raise ValidationError("ensemble config needs a 'variant' key") from None
-    if not isinstance(variant, str) or variant not in _CONFIG_KEYS:
+    if not isinstance(variant, str) or variant not in _VARIANTS:
         raise ValidationError(f"unknown ensemble variant {variant!r}")
+    keys = [f.name for f in dataclasses.fields(_VARIANTS[variant])]
     for key in cfg:
-        if key != "variant" and key not in _CONFIG_KEYS[variant]:
+        if key != "variant" and key not in keys:
             raise ValidationError(f"{variant!r} ensemble config has an unknown key {key!r}")
 
-    def field(key: str, convert=_exact_int):
+    def field(key: str):
         try:
-            return convert(cfg[key])
+            return _FIELD_CODECS.get(key, _INT_CODEC)[1](cfg[key])
         except KeyError:
             raise ValidationError(f"{variant!r} ensemble config is missing key {key!r}") from None
         except ValidationError:
@@ -250,15 +228,7 @@ def from_config(cfg: dict) -> EnsembleSpec:
                 f"{variant!r} ensemble config has a bad {key!r}: {cfg[key]!r}"
             ) from None
 
-    if variant == "haar":
-        return Haar(field("n"))
-    if variant == "clifford_uniform":
-        return CliffordUniform(field("n"))
-    if variant == "clifford_enumerated":
-        return CliffordEnumerated(field("n"))
-    if variant == "homeopathy":
-        return Homeopathy(field("n"), field("t"), field("inner", from_config))
-    return FixedList(field("unitaries", _unitaries_from_config))
+    return _VARIANTS[variant](*[field(key) for key in keys])
 
 
 def _exact_int(value) -> int:
@@ -269,12 +239,21 @@ def _exact_int(value) -> int:
     return value
 
 
+def _unitaries_to_config(us: tuple[DenseOperator, ...]) -> list:
+    return [[[[float(z.real), float(z.imag)] for z in row] for row in u.matrix] for u in us]
+
+
 def _unitaries_from_config(mats) -> tuple[DenseOperator, ...]:
-    us = []
-    for rows in mats:
-        m = np.array([[complex(re, im) for re, im in row] for row in rows])
-        us.append(DenseOperator(m.shape[0], m))
-    return tuple(us)
+    arrays = (np.array([[complex(re, im) for re, im in row] for row in rows]) for rows in mats)
+    return tuple(DenseOperator(len(m), m) for m in arrays)
+
+
+# (writer, checked reader) of each config field; every other field is an int
+_INT_CODEC = (lambda value: value, _exact_int)
+_FIELD_CODECS = {
+    "inner": (to_config, from_config),
+    "unitaries": (_unitaries_to_config, _unitaries_from_config),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,13 @@ from math import factorial
 import numpy as np
 import pytest
 
-from kdesign.attack import advantage_curve, compress, make_compressible
+from kdesign.attack import (
+    AdvantageRow,
+    CompressibleSource,
+    compress,
+    distinguish_vs_haar,
+    make_compressible,
+)
 from kdesign.commutant import (
     alpha,
     clifford_twirl,
@@ -147,7 +153,12 @@ def test_04_moment_distance_decay_stays_under_envelope():
 
 def test_05_distinguisher_advantage_and_haar_null():
     rng = np.random.default_rng(20260607)
-    rows = advantage_curve([0, 6], 6, 200, rng)
+    rows = [
+        AdvantageRow.from_reports(
+            *distinguish_vs_haar(CompressibleSource(6, t), 3 * t + 2, 0.5, 200, rng)
+        )
+        for t in (0, 6)
+    ]
     t0, tn = rows
     assert t0.l == 2 and t0.copies == 10
     assert t0.source_mean >= 0.45, f"stabilizer-source mean {t0.source_mean:.4f}"
@@ -169,7 +180,7 @@ def test_06_bell_difference_sampling_matches_the_convolution_table():
         assert exact_gap <= 1e-10, f"convolution identity off by {exact_gap:.3e}"
         counts = np.zeros(64)
         for _ in range(10000):
-            s = bell_difference_sample(psi, rng, path="measure", table=q)
+            s = bell_difference_sample(psi, rng, table=q)
             counts[(s.x << 3) | s.z] += 1
         tv = 0.5 * float(np.abs(counts / 10000 - pp.reshape(-1)).sum())
         assert tv <= 0.05, f"TV distance {tv:.4f}"

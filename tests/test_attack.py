@@ -10,10 +10,10 @@ from scipy import stats as scistats
 
 from kdesign import cli
 from kdesign.attack import (
+    AdvantageRow,
     AttackReport,
     CompressibleSource,
     _nontrivial_subspace,
-    advantage_curve,
     compress,
     distinguish,
     distinguish_vs_haar,
@@ -239,7 +239,12 @@ def test_distinguish_validation():
 
 def test_advantage_curve_rows():
     rng = np.random.default_rng(211)
-    rows = advantage_curve([0, 4], 4, 60, rng)
+    rows = [
+        AdvantageRow.from_reports(
+            *distinguish_vs_haar(CompressibleSource(4, t), 3 * t + 2, 0.5, 60, rng)
+        )
+        for t in (0, 4)
+    ]
     assert [r.t for r in rows] == [0, 4]
     t0 = rows[0]
     assert t0.l == 2 and t0.copies == 10
@@ -248,7 +253,7 @@ def test_advantage_curve_rows():
     assert tn.l == 14 and tn.copies == 58
     assert abs(tn.advantage) <= 3 * tn.stderr + 1e-9
     with pytest.raises(ValidationError):
-        advantage_curve([5], 4, 10, rng)
+        CompressibleSource(4, 5)
 
 
 def test_distinguish_vs_haar_runs_the_source_arm_then_the_haar_arm():

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import dataclasses
+import importlib
 import io
 import itertools
 import json
+import pkgutil
 import re
 import shlex
 import tempfile
@@ -16,6 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kdesign
 from kdesign import cli
 from kdesign.commutant import load_weingarten_table
 from kdesign.errors import InternalConsistencyError
@@ -199,7 +204,8 @@ def test_bad_t_range_exits_2(tmp_path, capsys, argv, flag):
     assert list(tmp_path.iterdir()) == []
 
 
-# 10^11 values: listing them would take 800 GB; 10^30 has no len()
+# 10^11 values: listing them would take 800 GB; 10^30 has no len().  The
+# last two argvs hold only valid values, but more runs than MAX_LIST_RUNS.
 HUGE, HUGER = str(10**11), str(10**30)
 
 
@@ -214,6 +220,8 @@ HUGE, HUGER = str(10**11), str(10**30)
         DECAY + ["--k", f"1..{HUGE}", "--t", "1"],
         ["commutant", "--k", f"2..{HUGE}", "--n", "1"],
         ["commutant", "--k", "2", f"--n=-{HUGE}..2"],
+        ["commutant", "--k", "2", "--n", f"1..{HUGE}"],
+        ["commutant", "--k", "2", "--n", f"1..{HUGER}"],
     ],
     ids=lambda argv: f"{argv[0]}-{'-'.join(a for a in argv if '..' in a)}",
 )
@@ -291,6 +299,60 @@ def test_readme_commands_parse():
     parser = cli.build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line, comments=True)[1:])
+
+
+def test_readme_identifiers_resolve(pytestconfig):
+    """Every backticked identifier in README names a kdesign module or an
+    attribute path from one (or from a name a module imports, such as np), a
+    dataclass field, a subcommand, a registered mark, a test-name prefix, a
+    benchmark workload or a file of the repository."""
+    root = Path(__file__).resolve().parents[1]
+    prose = re.sub(r"^```.*?^```", "", (root / "README.md").read_text(), flags=re.M | re.S)
+    spans = set(re.findall(r"`([A-Za-z_][\w.-]*)`", prose))
+    modules = {"kdesign": kdesign} | {
+        m.name: importlib.import_module(f"kdesign.{m.name}")
+        for m in pkgutil.iter_modules(kdesign.__path__)
+        if m.name != "__main__"  # importing it runs the command line
+    }
+    scopes = [modules, *(vars(m) for m in modules.values())]
+    fields = {
+        f.name
+        for scope in scopes[1:]
+        for obj in scope.values()
+        if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+        for f in dataclasses.fields(obj)
+    }
+    [subcommands] = [
+        a.choices for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    marks = {line.split(":")[0] for line in pytestconfig.getini("markers")}
+    tests = {
+        name
+        for path in [*root.glob("tests/test_*.py"), root / "kdbench" / "test_checks.py"]
+        for name in re.findall(r"^def (test_\w+)", path.read_text(), re.M)
+    }
+    workloads = {w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]}
+
+    def attribute_path(span: str) -> bool:
+        head, *rest = span.split(".")
+        for obj in (scope[head] for scope in scopes if head in scope):
+            for part in rest:
+                obj = getattr(obj, part, None)
+            if obj is not None:
+                return True
+        return False
+
+    unresolved = sorted(
+        span
+        for span in spans
+        if not (
+            attribute_path(span)
+            or span in fields | set(subcommands) | marks | workloads
+            or any(name == span or name.startswith(span + "_") for name in tests)
+            or (root / span).is_file()
+        )
+    )
+    assert unresolved == []
 
 
 @pytest.mark.parametrize("inputs", ["0", "-3"])

@@ -189,22 +189,25 @@ def test_bell_difference_paths_agree():
     qt = bell_table(psi)
     dt = bell_difference_table(psi)
     exact = dt.reshape(-1)
-    for path, table in (("measure", qt), ("table", dt)):
+    # the measurement oracle, then the attack's direct draw from the table
+    draws = {
+        "measure": lambda: bell_difference_sample(psi, rng, table=qt),
+        "table": lambda: flat_index_to_pauli(int(draw_from_table(dt, rng, 1)[0]), n),
+    }
+    for path, draw in draws.items():
         counts = np.zeros(4**n)
         for _ in range(m):
-            p = bell_difference_sample(psi, rng, path=path, table=table)
+            p = draw()
             counts[(p.x << n) | p.z] += 1
         tv = 0.5 * np.abs(counts / m - exact).sum()
         assert tv <= 0.05, path
-    with pytest.raises(ValidationError):
-        bell_difference_sample(psi, rng, path="nope")
 
 
 def test_bell_difference_zero_state_gives_z_strings():
     rng = np.random.default_rng(15)
     psi = StateVector.basis(3, 0)
     for _ in range(200):
-        p = bell_difference_sample(psi, rng, path="measure")
+        p = bell_difference_sample(psi, rng)
         assert p.x == 0
 
 
@@ -220,7 +223,7 @@ def test_bell_difference_product_state_marginal():
     counts = np.zeros(4)
     m = 4000
     for _ in range(m):
-        p = bell_difference_sample(psi, rng, path="table", table=dt)
+        p = flat_index_to_pauli(int(draw_from_table(dt, rng, 1)[0]), 3)
         assert p.x & 0b110 == 0
         counts[(p.z >> 1) & 0b11] += 1
     assert stats.chisquare(counts).pvalue > 1e-3

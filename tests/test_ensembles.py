@@ -86,10 +86,24 @@ def test_enumerate_unitaries():
 
 def test_config_round_trip():
     spec = Homeopathy(4, 2, Homeopathy(2, 1, CliffordEnumerated(1)))
+    assert to_config(spec) == {
+        "variant": "homeopathy",
+        "n": 4,
+        "t": 2,
+        "inner": {
+            "variant": "homeopathy",
+            "n": 2,
+            "t": 1,
+            "inner": {"variant": "clifford_enumerated", "n": 1},
+        },
+    }
     assert from_config(to_config(spec)) == spec
 
     rng = np.random.default_rng(13)
     fixed = FixedList(tuple(DenseOperator(4, haar_unitary(4, rng)) for _ in range(2)))
+    # each entry as its [real, imag] pair
+    pairs = np.stack([u.matrix for u in fixed.unitaries]).view(float).reshape(2, 4, 4, 2)
+    assert to_config(fixed) == {"variant": "fixed_list", "unitaries": pairs.tolist()}
     back = from_config(to_config(fixed))
     assert isinstance(back, FixedList)
     for a, b in zip(fixed.unitaries, back.unitaries):
