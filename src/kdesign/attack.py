@@ -34,6 +34,7 @@ from .f2 import (
     symplectic_product,
 )
 from .pauli import (
+    MAX_SCAN_QUBITS,
     CliffordOp,
     PauliString,
     StabilizerGroup,
@@ -43,13 +44,11 @@ from .pauli import (
     random_clifford,
 )
 
-MAX_ATTACK_QUBITS = 8
-
 
 def make_compressible(n: int, t: int, rng: np.random.Generator) -> StateVector:
     """Random Clifford applied to (Haar factor on the first t qubits) x |0>."""
-    if not 0 <= t <= n <= MAX_ATTACK_QUBITS:
-        raise ValidationError(f"need 0 <= t <= n <= {MAX_ATTACK_QUBITS}")
+    if not 0 <= t <= n <= MAX_SCAN_QUBITS:
+        raise ValidationError(f"need 0 <= t <= n <= {MAX_SCAN_QUBITS}")
     if t == 0:
         low = np.array([1.0 + 0.0j])
     else:
@@ -143,8 +142,8 @@ class CompressibleSource:
     t: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.t <= self.n <= MAX_ATTACK_QUBITS:
-            raise ValidationError(f"need 0 <= t <= n <= {MAX_ATTACK_QUBITS}")
+        if not 0 <= self.t <= self.n <= MAX_SCAN_QUBITS:
+            raise ValidationError(f"need 0 <= t <= n <= {MAX_SCAN_QUBITS}")
 
     def draw(self, rng: np.random.Generator) -> StateVector:
         return make_compressible(self.n, self.t, rng)

@@ -1,13 +1,16 @@
 """Command-line experiment drivers.
 
-Every subcommand writes its artifacts into an output directory plus a
-`.manifest.json` sibling recording version, seed, parameter tree, and wall
-time.  CSV artifacts are byte-stable for a fixed (subcommand, flags, seed);
-the manifest is not, because it records wall time.  The drivers are the only
-writers of files: the library returns results, and `_record` writes them.
+Each subcommand is one body, `_<name>(args) -> (stem, spec, artifacts,
+summary)`, declared in `build_parser` with the flags that repeat it, the
+flag one run sweeps and its pre-run check.  `_for_each` is the one run
+path: it checks every run, then times each body, has `_record` write the
+artifacts and a `.manifest.json` sibling (version, seed, parameter tree,
+wall time), and prints `<subcommand>: <summary> -> <last artifact>`.  CSV
+artifacts are byte-stable for a fixed (subcommand, flags, seed); the
+manifest is not.  The library returns results; only `_record` writes.
 
 List-valued flags (`commutant --k/--n`, `decay --k`, `distinguish --t`) run
-the subcommand once per value, each run writing what it writes alone.  Every
+the body once per value, each run writing what it writes alone.  Every
 value is checked before the first run, so a bad value writes nothing.
 """
 
@@ -68,15 +71,14 @@ def _json(doc: dict) -> str:
 
 def _record(
     args: argparse.Namespace,
-    subcommand: str,
     stem: str,
     spec: dict,
     artifacts: dict[str, str],
-    started: float,
-) -> list[str]:
+    wall: float,
+) -> str:
     """Write each `{suffix: text}` artifact as `<stem><suffix>`, then the
     manifest, into --out, else $KDESIGN_OUTPUT_DIR, else the working
-    directory.  Returns the artifact paths."""
+    directory.  Returns the last artifact's path."""
     out = args.out or os.environ.get(OUTPUT_DIR_ENV) or "."
     os.makedirs(out, exist_ok=True)
 
@@ -90,16 +92,16 @@ def _record(
     manifest = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "tool_version": __version__,
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "seed": getattr(args, "seed", None),
         "spec": spec,
         "artifacts": [os.path.basename(p) for p in paths],
-        "wall_time_seconds": time.monotonic() - started,
+        "wall_time_seconds": wall,
         "numerics": {"numpy": np.__version__, "cpu_count": os.cpu_count()}
         | {var: os.environ.get(var) for var in THREAD_ENV_VARS},
     }
     write(f"{stem}.manifest.json", _json(manifest))
-    return paths
+    return paths[-1]
 
 
 def _parse_list(flag: str, text: str) -> range | list[int]:
@@ -119,11 +121,15 @@ def _parse_list(flag: str, text: str) -> range | list[int]:
     return values
 
 
-def _for_each(body, check, args: argparse.Namespace, **values) -> int:
-    """Run a single-value body once per combination of the listed values, in
-    order, once their count (a range's read from its ends, so nothing is
-    listed) is at most MAX_LIST_RUNS and `check` has accepted every one.
-    Each run re-seeds from --seed, so it writes the bytes of its value alone."""
+def _for_each(args: argparse.Namespace) -> int:
+    """The one run path.  Run the body once per combination of the listed
+    values, in order, once their count (a range's read from its ends, so
+    nothing is listed) is at most MAX_LIST_RUNS and every run has passed the
+    checks; time, record and announce each run.  Each run re-seeds from
+    --seed, so it writes the bytes of its value alone."""
+    values = {flag: _parse_list(f"--{flag}", getattr(args, flag)) for flag in args.lists}
+    if args.sweep:  # one sweep over its values per run
+        setattr(args, args.sweep, _parse_list(f"--{args.sweep}", getattr(args, args.sweep)))
     count = math.prod(v.stop - v.start if isinstance(v, range) else len(v) for v in values.values())
     if count > MAX_LIST_RUNS:
         raise ValidationError(f"the lists make {count} runs, more than {MAX_LIST_RUNS}")
@@ -132,16 +138,16 @@ def _for_each(body, check, args: argparse.Namespace, **values) -> int:
         for combo in itertools.product(*values.values())
     ]
     for run in runs:
-        check(run)
+        if run.check:
+            run.check(run)
+    if getattr(args, "seed", 0) < 0:
+        raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
     for run in runs:
-        body(run)
+        started = time.monotonic()
+        stem, spec, artifacts, summary = run.body(run)
+        path = _record(run, stem, spec, artifacts, time.monotonic() - started)
+        print(f"{run.subcommand}: {summary} -> {path}")
     return 0
-
-
-def _rng(seed: int) -> np.random.Generator:
-    if seed < 0:
-        raise ValidationError(f"--seed must be nonnegative, got {seed}")
-    return np.random.default_rng(seed)
 
 
 def _ensemble_from_args(args: argparse.Namespace):
@@ -154,85 +160,49 @@ def _ensemble_from_args(args: argparse.Namespace):
     return Homeopathy(args.n, args.t, Haar(args.t))
 
 
-def cmd_commutant(args: argparse.Namespace) -> int:
-    ks, ns = _parse_list("--k", args.k), _parse_list("--n", args.n)
-    return _for_each(_commutant, lambda a: check_table_args(a.k, a.n), args, k=ks, n=ns)
-
-
-def _commutant(args: argparse.Namespace) -> None:
-    started = time.monotonic()
+def _commutant(args: argparse.Namespace):
     table = weingarten_table(args.k, args.n)
-    [path] = _record(
-        args,
-        "commutant",
+    return (
         f"commutant_k{args.k}_n{args.n}",
         {"k": args.k, "n": args.n},
         {".json": export_weingarten_table(table)},
-        started,
-    )
-    print(
-        f"commutant: k={args.k} n={args.n}, {len(table.monomials)} monomials, "
-        f"pseudo_inverse={table.pseudo} -> {path}"
+        f"k={args.k} n={args.n}, {len(table.monomials)} monomials, "
+        f"pseudo_inverse={table.pseudo}",
     )
 
 
-def cmd_frame_potential(args: argparse.Namespace) -> int:
-    started = time.monotonic()
-    rng = _rng(args.seed)
+def _frame_potential(args: argparse.Namespace):
+    rng = np.random.default_rng(args.seed)
     spec = _ensemble_from_args(args)
     estimate, stderr = frame_potential(spec, args.k, args.samples, rng)
     row = (args.ensemble, args.n, args.k, args.samples, estimate, stderr, args.seed)
-    [path] = _record(
-        args,
-        "frame-potential",
+    return (
         f"frame_potential_{args.ensemble}_n{args.n}_k{args.k}_seed{args.seed}",
         {"ensemble": to_config(spec), "k": args.k, "samples": args.samples},
         {".csv": _csv(FRAME_POTENTIAL_COLUMNS, [row])},
-        started,
+        f"{args.ensemble} n={args.n} k={args.k} "
+        f"-> {estimate:.6f} +- {stderr:.6f} ({args.samples} samples)",
     )
-    print(
-        f"frame-potential: {args.ensemble} n={args.n} k={args.k} "
-        f"-> {estimate:.6f} +- {stderr:.6f} ({args.samples} samples) -> {path}"
-    )
-    return 0
 
 
-def cmd_decay(args: argparse.Namespace) -> int:
-    ks = _parse_list("--k", args.k)
-    args.t = _parse_list("--t", args.t)  # one sweep over t per run
-    return _for_each(_decay, lambda a: check_decay_args(a.n, a.k, a.t), args, k=ks)
-
-
-def _decay(args: argparse.Namespace) -> None:
-    started = time.monotonic()
+def _decay(args: argparse.Namespace):
     ts = list(args.t)
-    report = decay_experiment(args.n, args.k, ts, args.samples, _rng(args.seed))
+    report = decay_experiment(args.n, args.k, ts, args.samples, np.random.default_rng(args.seed))
     rows = [(r.t, r.distance, r.stderr, r.floor, r.samples, args.seed) for r in report.rows]
-    [path] = _record(
-        args,
-        "decay",
+    slope = fitted_log2_slope(report)
+    slope_text = "n/a" if slope is None else f"{slope:.3f}"
+    return (
         f"decay_n{args.n}_k{args.k}_seed{args.seed}",
         {"n": args.n, "k": args.k, "t": ts, "samples": args.samples},
         {".csv": _csv(DECAY_COLUMNS, rows)},
-        started,
-    )
-    slope = fitted_log2_slope(report)
-    slope_text = "n/a" if slope is None else f"{slope:.3f}"
-    print(
-        f"decay: n={args.n} k={args.k} t={ts[0]}..{ts[-1]}, "
+        f"n={args.n} k={args.k} t={ts[0]}..{ts[-1]}, "
         f"monotone={monotone_above_floor(report)} "
-        f"envelope={envelope_satisfied(report)} log2_slope={slope_text} -> {path}"
+        f"envelope={envelope_satisfied(report)} log2_slope={slope_text}",
     )
 
 
-def cmd_distinguish(args: argparse.Namespace) -> int:
-    ts = _parse_list("--t", args.t)
-    return _for_each(_distinguish, lambda a: check_distinguish_args(a.n, a.t), args, t=ts)
-
-
-def _distinguish(args: argparse.Namespace) -> None:
-    started = time.monotonic()
-    rng = _rng(args.seed)
+def _distinguish(args: argparse.Namespace):
+    rng = np.random.default_rng(args.seed)
     l = args.l if args.l is not None else 3 * args.t + 2
     source_report, haar_report = distinguish_vs_haar(
         CompressibleSource(args.n, args.t), l, args.epsilon_t, args.trials, rng, args.thresholded
@@ -246,9 +216,7 @@ def _distinguish(args: argparse.Namespace) -> None:
         "epsilon_t": args.epsilon_t,
         "rows": [dataclasses.asdict(row)],
     }
-    *_, summary_json = _record(
-        args,
-        "distinguish",
+    return (
         f"distinguish_n{args.n}_t{args.t}_seed{args.seed}",
         {
             "n": args.n,
@@ -263,20 +231,16 @@ def _distinguish(args: argparse.Namespace) -> None:
             "_haar.csv": _csv(TRIAL_COLUMNS, enumerate(haar_report.statistics)),
             ".json": _json(summary),
         },
-        started,
-    )
-    print(
-        f"distinguish: n={args.n} t={args.t} l={l} copies={row.copies}, "
+        f"n={args.n} t={args.t} l={l} copies={row.copies}, "
         f"source={row.source_mean:.4f} haar={row.haar_mean:.4f} "
-        f"advantage={row.advantage:.4f} +- {row.stderr:.4f} -> {summary_json}"
+        f"advantage={row.advantage:.4f} +- {row.stderr:.4f}",
     )
 
 
-def cmd_twirl_check(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def _twirl_check(args: argparse.Namespace):
     if args.inputs < 1:
         raise ValidationError(f"--inputs must be at least 1, got {args.inputs}")
-    rng = _rng(args.seed)
+    rng = np.random.default_rng(args.seed)
     check_twirl_args(args.k, args.n)
     d = 2**args.n
     dim = d**args.k
@@ -294,41 +258,27 @@ def cmd_twirl_check(args: argparse.Namespace) -> int:
                 float(np.max(np.abs(twice - cliff))),
             )
         )
-    [path] = _record(
-        args,
-        "twirl-check",
+    max_gap = max(r[1] for r in rows)
+    max_idem = max(r[2] for r in rows)
+    return (
         f"twirl_check_n{args.n}_k{args.k}_seed{args.seed}",
         {"n": args.n, "k": args.k, "inputs": args.inputs},
         {".csv": _csv(TWIRL_COLUMNS, rows)},
-        started,
+        f"n={args.n} k={args.k}, max clifford-vs-haar gap "
+        f"{max_gap:.3e}, max idempotence error {max_idem:.3e}",
     )
-    max_gap = max(r[1] for r in rows)
-    max_idem = max(r[2] for r in rows)
-    print(
-        f"twirl-check: n={args.n} k={args.k}, max clifford-vs-haar gap "
-        f"{max_gap:.3e}, max idempotence error {max_idem:.3e} -> {path}"
-    )
-    return 0
 
 
-def cmd_vandermonde(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+def _vandermonde(args: argparse.Namespace):
     report = vandermonde_bound_check(args.k)
     rows = zip(itertools.count(1), report.row_sums, report.bounds, report.ratios)
-    [path] = _record(
-        args,
-        "vandermonde",
+    verdict = "all bounds satisfied" if report.all_ok else "BOUND VIOLATED"
+    return (
         f"vandermonde_k{args.k}",
         {"k": args.k},
         {".csv": _csv(VANDERMONDE_COLUMNS, rows)},
-        started,
+        f"k={args.k}, {verdict} (max row-sum/bound ratio {report.max_ratio:.3e})",
     )
-    verdict = "all bounds satisfied" if report.all_ok else "BOUND VIOLATED"
-    print(
-        f"vandermonde: k={args.k}, {verdict} "
-        f"(max row-sum/bound ratio {report.max_ratio:.3e}) -> {path}"
-    )
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -339,24 +289,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_out(p):
+    def add(name, body, help, epilog, lists=(), sweep=None, check=None):
+        """`body` runs once per value of each flag in `lists`, sweeps all of
+        `sweep`'s values, and starts once `check` has accepted every run."""
+        p = sub.add_parser(name, help=help, epilog=epilog)
         p.add_argument("--out", help="output directory (overrides the environment)")
+        p.set_defaults(body=body, lists=lists, sweep=sweep, check=check)
+        return p
 
-    p = sub.add_parser(
+    p = add(
         "commutant",
-        help="export the Gram/Weingarten table for (k, n)",
-        epilog="Artifact: JSON archive with hex-exact gram/weingarten matrices "
+        _commutant,
+        "export the Gram/Weingarten table for (k, n)",
+        "Artifact: JSON archive with hex-exact gram/weingarten matrices "
         "and the monomial list.",
+        lists=("k", "n"),
+        check=lambda a: check_table_args(a.k, a.n),
     )
     p.add_argument("--k", required=True, help=LIST_HELP)
     p.add_argument("--n", required=True, help=LIST_HELP)
-    add_out(p)
-    p.set_defaults(func=cmd_commutant)
 
-    p = sub.add_parser(
+    p = add(
         "frame-potential",
-        help="Monte Carlo frame potential of an ensemble",
-        epilog=f"CSV columns: {FRAME_POTENTIAL_COLUMNS}.",
+        _frame_potential,
+        "Monte Carlo frame potential of an ensemble",
+        f"CSV columns: {FRAME_POTENTIAL_COLUMNS}.",
     )
     p.add_argument("--ensemble", choices=["haar", "clifford", "homeopathy"], required=True)
     p.add_argument("--n", type=int, required=True)
@@ -364,27 +321,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, help="inner register size (homeopathy only)")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    add_out(p)
-    p.set_defaults(func=cmd_frame_potential)
 
-    p = sub.add_parser(
+    p = add(
         "decay",
-        help="Choi-distance decay of the sandwiched ensemble versus t",
-        epilog=f"CSV columns: {DECAY_COLUMNS}.",
+        _decay,
+        "Choi-distance decay of the sandwiched ensemble versus t",
+        f"CSV columns: {DECAY_COLUMNS}.",
+        lists=("k",),
+        sweep="t",
+        check=lambda a: check_decay_args(a.n, a.k, a.t),
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", required=True, help=LIST_HELP)
     p.add_argument("--t", required=True, help="range '1..5' or list '1,3,5'")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    add_out(p)
-    p.set_defaults(func=cmd_decay)
 
-    p = sub.add_parser(
+    p = add(
         "distinguish",
-        help="Bell-difference distinguisher advantage per t",
-        epilog=f"CSV columns (per arm): {TRIAL_COLUMNS}. JSON: advantage row with "
+        _distinguish,
+        "Bell-difference distinguisher advantage per t",
+        f"CSV columns (per arm): {TRIAL_COLUMNS}. JSON: advantage row with "
         "means, stderr, l, copies.",
+        lists=("t",),
+        check=lambda a: check_distinguish_args(a.n, a.t),
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", required=True, help=LIST_HELP)
@@ -397,29 +357,25 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="record 0/1 threshold outcomes instead of raw squared expectations",
     )
-    add_out(p)
-    p.set_defaults(func=cmd_distinguish)
 
-    p = sub.add_parser(
+    p = add(
         "twirl-check",
-        help="compare Clifford and Haar twirls on random inputs",
-        epilog=f"CSV columns: {TWIRL_COLUMNS}.",
+        _twirl_check,
+        "compare Clifford and Haar twirls on random inputs",
+        f"CSV columns: {TWIRL_COLUMNS}.",
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--inputs", type=int, default=5)
     p.add_argument("--seed", type=int, required=True)
-    add_out(p)
-    p.set_defaults(func=cmd_twirl_check)
 
-    p = sub.add_parser(
+    p = add(
         "vandermonde",
-        help="exact-rational inverse row-sum bounds",
-        epilog=f"CSV columns: {VANDERMONDE_COLUMNS}.",
+        _vandermonde,
+        "exact-rational inverse row-sum bounds",
+        f"CSV columns: {VANDERMONDE_COLUMNS}.",
     )
     p.add_argument("--k", type=int, required=True)
-    add_out(p)
-    p.set_defaults(func=cmd_vandermonde)
 
     return parser
 
@@ -428,7 +384,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _for_each(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -353,10 +353,12 @@ def _clifford_ones(k: int, n: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
 def _clifford_basis(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(inverse of tr(A^dagger B), ones of each A) over the monomials: the
     table's Gram matrix is tr(A^dagger B) / d^k, so the inverse is W / d^k."""
     w = weingarten_table(k, n).weingarten / float(2 ** (n * k))
+    w.flags.writeable = False
     return w, _clifford_ones(k, n)
 
 

@@ -27,9 +27,8 @@ import numpy as np
 from .commutant import _clifford_basis, _haar_basis, _incidence
 from .dense import MAX_DENSE_DIM, MAX_DENSE_QUBITS, DenseOperator, haar_unitary, query_output_state
 from .errors import InternalConsistencyError, ValidationError
-from .pauli import cliffords_to_matrices, enumerate_cliffords, random_tableau
+from .pauli import MAX_ENUMERATED_QUBITS, cliffords_to_matrices, enumerate_cliffords, random_tableau
 
-MAX_ENUMERATED_QUBITS = 2
 # complex entries per batch of Choi vectors
 CHUNK_ENTRIES = 1 << 20
 # Unitary entries sampled and made dense per pass of _samples.  With

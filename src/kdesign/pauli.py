@@ -392,13 +392,17 @@ def random_clifford(n: int, rng: np.random.Generator) -> CliffordOp:
 # ---------------------------------------------------------------------------
 # exhaustive enumeration (small n; independent of the sampler)
 
+MAX_ENUMERATED_QUBITS = 2
+
 
 @lru_cache(maxsize=None)
 def enumerate_symplectics(n: int) -> tuple[tuple[int, ...], ...]:
     """All of Sp(2n, F_2) by brute scan, each as its 2n image bit vectors;
-    n <= 2 only."""
-    if n > 2:
-        raise ValidationError("exhaustive symplectic enumeration is limited to n <= 2")
+    n <= MAX_ENUMERATED_QUBITS only."""
+    if n > MAX_ENUMERATED_QUBITS:
+        raise ValidationError(
+            f"exhaustive symplectic enumeration is limited to n <= {MAX_ENUMERATED_QUBITS}"
+        )
     nn = 2 * n
     out = []
     for bits in range(1 << (nn * nn)):
@@ -588,6 +592,11 @@ def _qubit_count(amps: np.ndarray) -> int:
     return d.bit_length() - 1
 
 
+# The largest register whose 4^n Paulis stabilizer_group_of scans, and so the
+# largest register of the attack pipeline built on it.
+MAX_SCAN_QUBITS = 8
+
+
 def stabilizer_group_of(psi, t: int) -> StabilizerGroup:
     """Scan all 4^n Paulis for expectation +/-1 (tolerance 1e-9) on psi.
 
@@ -597,8 +606,8 @@ def stabilizer_group_of(psi, t: int) -> StabilizerGroup:
     """
     amps = np.asarray(getattr(psi, "amplitudes", psi), dtype=complex)
     n = _qubit_count(amps)
-    if n > 8:
-        raise ValidationError("stabilizer scan limited to n <= 8")
+    if n > MAX_SCAN_QUBITS:
+        raise ValidationError(f"stabilizer scan limited to n <= {MAX_SCAN_QUBITS}")
     if not 0 <= t <= n:
         raise ValidationError(f"need 0 <= t <= n, got t={t}")
 

@@ -459,7 +459,7 @@ def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, name):
     assert not (tmp_path / "D").exists()
 
 
-# one small run of every subcommand
+# one small run of every subcommand; commutant and distinguish run two list values
 EVERY_SUBCOMMAND = {
     "commutant": ["commutant", "--k", "2", "--n", "1,2"],
     "frame-potential": FP + ["haar", "--n", "1"],
@@ -471,18 +471,26 @@ EVERY_SUBCOMMAND = {
 
 
 @pytest.mark.parametrize("name", sorted(EVERY_SUBCOMMAND))
-def test_manifests_list_exactly_the_files_written(tmp_path, name):
+def test_manifests_list_exactly_the_files_written(tmp_path, capsys, name):
+    """The run contract: each run writes its artifacts and a manifest naming
+    exactly the other files of its stem, and prints one line
+    `<subcommand>: ... -> <its last artifact>`."""
     assert run(EVERY_SUBCOMMAND[name] + ["--out", str(tmp_path)]) == 0
     written = {p.name for p in tmp_path.iterdir()}
     manifests = {n for n in written if n.endswith(".manifest.json")}
-    assert manifests
-    listed = set()
+    listed, last = set(), set()
     for m in manifests:
         doc = json.loads((tmp_path / m).read_text())
         assert doc["subcommand"] == name
+        stem = m.removesuffix(".manifest.json")
+        assert sorted(doc["artifacts"]) == sorted(n for n in written - {m} if n.startswith(stem))
         listed.update(doc["artifacts"])
-        assert all(a.startswith(m.removesuffix(".manifest.json")) for a in doc["artifacts"])
+        last.add(str(tmp_path / doc["artifacts"][-1]))
     assert listed == written - manifests
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(manifests) >= (2 if name in ("commutant", "distinguish") else 1)
+    assert all(re.fullmatch(rf"{name}: .+ -> .+", line) for line in lines)
+    assert {line.rsplit(" -> ", 1)[1] for line in lines} == last
 
 
 @pytest.mark.parametrize("name", sorted(set(EVERY_SUBCOMMAND) - {"commutant"}))

@@ -14,6 +14,7 @@ from kdesign import commutant
 from kdesign.commutant import (
     PauliMonomial,
     _alpha_table,
+    _clifford_basis,
     _clifford_ones,
     _digit_permutation,
     _fraction_inverse,
@@ -575,9 +576,13 @@ def test_permutation_matrix_moves_digit_c_to_digit_pi_c():
         assert np.array_equal(permutation_matrix(p, d), looped_permutation_matrix(p, d))
 
 
-def test_haar_basis_is_cached_and_read_only():
-    w, ones = _haar_basis(4, 4)
-    again = _haar_basis(4, 4)
+# both builders at D = 256: (k, d) = (4, 4) and (k, n) = (4, 2)
+@pytest.mark.parametrize(
+    "basis, args", [(_haar_basis, (4, 4)), (_clifford_basis, (4, 2))], ids=["haar", "clifford"]
+)
+def test_basis_is_cached_and_read_only(basis, args):
+    w, ones = basis(*args)
+    again = basis(*args)
     assert again[0] is w and again[1] is ones
     assert not w.flags.writeable and not ones.flags.writeable
 
