@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense import (
-    MAX_TABLE_QUBITS,
     StateVector,
+    _check_table_size,
     bell_difference_table,
     draw_from_table,
     expectation,
@@ -47,8 +47,7 @@ from .pauli import (
 
 def make_compressible(n: int, t: int, rng: np.random.Generator) -> StateVector:
     """Random Clifford applied to (Haar factor on the first t qubits) x |0>."""
-    if not 0 <= t <= n <= MAX_SCAN_QUBITS:
-        raise ValidationError(f"need 0 <= t <= n <= {MAX_SCAN_QUBITS}")
+    CompressibleSource(n, t)  # raises outside the one source range
     if t == 0:
         low = np.array([1.0 + 0.0j])
     else:
@@ -142,8 +141,10 @@ class CompressibleSource:
     t: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.t <= self.n <= MAX_SCAN_QUBITS:
-            raise ValidationError(f"need 0 <= t <= n <= {MAX_SCAN_QUBITS}")
+        if not (0 <= self.t <= self.n <= MAX_SCAN_QUBITS and self.n >= 1):
+            raise ValidationError(
+                f"need 0 <= t <= n and 1 <= n <= {MAX_SCAN_QUBITS}, got n={self.n}, t={self.t}"
+            )
 
     def draw(self, rng: np.random.Generator) -> StateVector:
         return make_compressible(self.n, self.t, rng)
@@ -162,10 +163,6 @@ class AttackReport:
         for s in self.statistics:
             if not 0.0 <= s <= 1.0 + 1e-12:
                 raise InternalConsistencyError(f"statistic {s} outside [0, 1]")
-
-    @property
-    def trials(self) -> int:
-        return len(self.statistics)
 
     @property
     def copies(self) -> int:
@@ -219,10 +216,7 @@ def sample_attack_statistic(
 def check_distinguish_args(n: int, t: int) -> None:
     """ValidationError unless distinguish accepts a t-compressible n-qubit
     source: its Bell-difference tables hold 4^n entries."""
-    if n > MAX_TABLE_QUBITS:
-        raise ValidationError(
-            f"the distinguisher's 4^n tables need n <= {MAX_TABLE_QUBITS}, got n={n}"
-        )
+    _check_table_size(n)
     CompressibleSource(n, t)
 
 
@@ -235,7 +229,7 @@ def distinguish(
     thresholded: bool = False,
 ) -> AttackReport:
     """Run the Bell-difference attack for `trials` fresh states."""
-    check_distinguish_args(source.n, source.t)
+    _check_table_size(source.n)
     if l < 1:
         raise ValidationError("need l >= 1 samples per trial")
     if not 0.0 < epsilon_t <= 1.0:

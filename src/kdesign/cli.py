@@ -186,8 +186,9 @@ def _frame_potential(args: argparse.Namespace):
 
 
 def _decay(args: argparse.Namespace):
-    ts = list(args.t)
-    report = decay_experiment(args.n, args.k, ts, args.samples, np.random.default_rng(args.seed))
+    rng = np.random.default_rng(args.seed)
+    report = decay_experiment(args.n, args.k, args.t, args.samples, rng)
+    ts = [r.t for r in report.rows]
     rows = [(r.t, r.distance, r.stderr, r.floor, r.samples, args.seed) for r in report.rows]
     slope = fitted_log2_slope(report)
     slope_text = "n/a" if slope is None else f"{slope:.3f}"

@@ -326,10 +326,13 @@ def _digit_permutation(perm: tuple[int, ...], d: int) -> np.ndarray:
     return digits @ d ** np.array(perm, dtype=np.int64)
 
 
-def _check_copy_dim(dim: int) -> None:
-    if dim > MAX_COPY_OPERATOR_DIM:
+def _check_copy_dim(d: int, k: int) -> None:
+    """ValidationError unless d^k <= MAX_COPY_OPERATOR_DIM, checked first on
+    the exponent k b <= log2 d^k, so a huge d or k builds no huge int."""
+    b = d.bit_length() - 1
+    if k * b >= MAX_COPY_OPERATOR_DIM.bit_length() or d**k > MAX_COPY_OPERATOR_DIM:
         raise ValidationError(
-            f"k-copy operators limited to dimension {MAX_COPY_OPERATOR_DIM}, need {dim}"
+            f"k-copy operators limited to dimension {MAX_COPY_OPERATOR_DIM}, need {d}^{k}"
         )
 
 
@@ -339,8 +342,8 @@ def _clifford_ones(k: int, n: int) -> np.ndarray:
     D = 2^(nk) register, as (monomials, D), in the copy layout: the n-th
     tensor power of a site matrix has a one at each n-tuple of its ones, and
     copy bit c of qubit q goes to bit c*n + q."""
+    _check_copy_dim(2, n * k)
     dim = 1 << (n * k)
-    _check_copy_dim(dim)
     _, ones = _site_stack(k)
     spread = _digit_permutation(tuple(c * n for c in range(k)), 2)  # bit c -> bit c*n
     rows, cols = spread[ones >> k], spread[ones & ((1 << k) - 1)]
@@ -357,6 +360,7 @@ def _clifford_ones(k: int, n: int) -> np.ndarray:
 def _clifford_basis(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(inverse of tr(A^dagger B), ones of each A) over the monomials: the
     table's Gram matrix is tr(A^dagger B) / d^k, so the inverse is W / d^k."""
+    _check_copy_dim(2, n * k)
     w = weingarten_table(k, n).weingarten / float(2 ** (n * k))
     w.flags.writeable = False
     return w, _clifford_ones(k, n)
@@ -397,8 +401,8 @@ def _permutation_ones(perm: tuple[int, ...], d: int) -> np.ndarray:
         raise ValidationError(f"not a permutation: {perm}")
     if d < 1:
         raise ValidationError("need d >= 1")
+    _check_copy_dim(d, k)
     dim = d**k
-    _check_copy_dim(dim)
     return _digit_permutation(perm, d) * dim + np.arange(dim)
 
 
@@ -463,7 +467,8 @@ def haar_twirl(o, k: int, d: int) -> DenseOperator:
 
 def check_twirl_args(k: int, n: int) -> None:
     """ValidationError unless clifford_twirl(., k, n) and haar_twirl(., k, 2^n)
-    accept (k, n), checked before an operand exists."""
+    accept (k, n), checked before an operand exists; the Clifford check
+    bounds nk first, so 2^n is small when it is built."""
     _clifford_basis(k, n)
     _haar_twirl_basis(k, 1 << n)
 

@@ -118,6 +118,14 @@ def _scalar(ref: np.ndarray) -> float | None:
     return float(c.real) if exact else None
 
 
+def _batch_split(samples: int) -> tuple[int, int]:
+    """(per, used): NUM_BATCHES batches of per samples; the rest go unused."""
+    per = samples // NUM_BATCHES
+    if per < 1:
+        raise ValidationError(f"need at least {NUM_BATCHES} samples")
+    return per, per * NUM_BATCHES
+
+
 def _batched_choi(
     spec: EnsembleSpec, k: int, samples: int, rng: np.random.Generator, vectors: bool = False
 ) -> tuple[list[np.ndarray] | np.ndarray, int]:
@@ -128,11 +136,8 @@ def _batched_choi(
     checked on its |v|^2; else as dense moment_choi states.  Both draw the
     same stream.
     """
-    per = samples // NUM_BATCHES
-    if per < 1:
-        raise ValidationError(f"need at least {NUM_BATCHES} samples")
-    used = per * NUM_BATCHES
-    if vectors and used < 1 << (2 * k * spec.n_qubits):
+    per, used = _batch_split(samples)
+    if vectors and used < _choi_dims(spec, k)[1] ** 2:
         vs = _choi_vectors(spec, k, used, rng).reshape(NUM_BATCHES, per, -1)
         for batch in vs:
             _check_trace(np.vdot(batch, batch).real / per)
@@ -229,15 +234,13 @@ def adaptive_distance(
     rng: np.random.Generator,
 ) -> DistanceEstimate:
     """Trace distance of averaged adaptive outputs for a fixed query list."""
-    per = samples // NUM_BATCHES
-    if per < 1:
-        raise ValidationError(f"need at least {NUM_BATCHES} samples")
+    per, used = _batch_split(samples)
 
     def batches(spec):
         return [adaptive_output_state(spec, queries, per, rng) for _ in range(NUM_BATCHES)]
 
     value, stderr, floor = _distance_from_batches(batches(spec_a), batches(spec_b), None, rng)
-    return DistanceEstimate(value, stderr, floor, per * NUM_BATCHES)
+    return DistanceEstimate(value, stderr, floor, used)
 
 
 def check_decay_args(n: int, k: int, t_list) -> None:

@@ -14,6 +14,7 @@ from kdesign.attack import (
     AttackReport,
     CompressibleSource,
     _nontrivial_subspace,
+    check_distinguish_args,
     compress,
     distinguish,
     distinguish_vs_haar,
@@ -126,6 +127,22 @@ def test_source_validation():
         CompressibleSource(9, 0)
     with pytest.raises(ValidationError):
         CompressibleSource(2, 3)
+    with pytest.raises(ValidationError) as source_error:
+        CompressibleSource(0, 0)
+    with pytest.raises(ValidationError) as draw_error:
+        make_compressible(0, 0, np.random.default_rng(0))
+    # one range rule: the drawing function raises the source's own message
+    assert str(draw_error.value) == str(source_error.value) == (
+        "need 0 <= t <= n and 1 <= n <= 8, got n=0, t=0"
+    )
+    # the distinguisher's 4^n table bound is the dense tables' own
+    with pytest.raises(ValidationError) as table_error:
+        check_distinguish_args(7, 1)
+    with pytest.raises(ValidationError) as dense_error:
+        bell_difference_table(StateVector.basis(7))
+    assert str(table_error.value) == str(dense_error.value) == (
+        "4^n tables limited to n <= 6, got n=7"
+    )
 
 
 def test_samples_lie_in_stabilizer_support():

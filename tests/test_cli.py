@@ -90,6 +90,16 @@ def test_decay_csv_byte_identical_across_runs(tmp_path):
     assert header == "t,distance,stderr,floor,samples,seed"
 
 
+def test_decay_records_the_t_values_of_its_rows(tmp_path, capsys):
+    argv = ["decay", "--n", "2", "--k", "1", "--t", "2,1,2", "--samples", "10", "--seed", "1"]
+    assert run(argv + ["--out", str(tmp_path)]) == 0
+    assert "t=1..2," in capsys.readouterr().out
+    rows = (tmp_path / "decay_n2_k1_seed1.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["1", "2"]
+    doc = json.loads((tmp_path / "decay_n2_k1_seed1.manifest.json").read_text())
+    assert doc["spec"]["t"] == [1, 2]
+
+
 def test_distinguish_outputs_and_determinism(tmp_path, capsys):
     argv = ["distinguish", "--n", "3", "--t", "0", "--trials", "25", "--seed", "5"]
     a = tmp_path / "a"
@@ -222,6 +232,10 @@ HUGE, HUGER = str(10**11), str(10**30)
         ["commutant", "--k", "2", f"--n=-{HUGE}..2"],
         ["commutant", "--k", "2", "--n", f"1..{HUGE}"],
         ["commutant", "--k", "2", "--n", f"1..{HUGER}"],
+        # copy registers of 2^(nk) dimensions, turned away on the exponent nk
+        pytest.param(["twirl-check", "--n", "1100", "--k", "1", "--seed", "1"], id="twirl-n1100"),
+        pytest.param(["twirl-check", "--n", "300", "--k", "4", "--seed", "1"], id="twirl-n300-k4"),
+        pytest.param(["twirl-check", "--n", HUGE, "--k", "1", "--seed", "1"], id="twirl-n1e11"),
     ],
     ids=lambda argv: f"{argv[0]}-{'-'.join(a for a in argv if '..' in a)}",
 )
@@ -412,6 +426,8 @@ BAD_LATER_VALUE = {
     # within CompressibleSource's limit, past the 4^n Bell tables'
     "distinguish-n7": ["distinguish", "--n", "7", "--t", "0,1", "--trials", "2", "--seed", "1"],
     "distinguish-n8": ["distinguish", "--n", "8", "--t", "0", "--trials", "2", "--seed", "1"],
+    # the source range needs a qubit
+    "distinguish-n0": ["distinguish", "--n", "0", "--t", "0", "--trials", "2", "--seed", "1"],
 }
 
 

@@ -90,6 +90,23 @@ def test_decay_experiment_validation():
         decay_experiment(2, 1, [1], 5, rng)
 
 
+BATCH_SPLIT_CALLS = {
+    "choi_trace_distance": lambda rng: choi_trace_distance(Haar(1), Haar(1), 1, 9, rng),
+    "adaptive_distance": lambda rng: adaptive_distance(
+        Haar(1), Haar(1), [np.eye(2, dtype=complex)], 9, rng
+    ),
+    "decay_experiment": lambda rng: decay_experiment(2, 1, [1], 9, rng),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_SPLIT_CALLS))
+def test_every_estimate_splits_its_samples_by_one_rule(name):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValidationError, match=f"need at least {moments.NUM_BATCHES} samples"):
+        BATCH_SPLIT_CALLS[name](rng)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state  # no draw
+
+
 def synthetic_report(distances, floors, errs):
     rows = tuple(
         DecayRow(t + 1, d, e, f, 1000)
