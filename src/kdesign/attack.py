@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense import (
+    MAX_TABLE_QUBITS,
     StateVector,
     _check_table_size,
     bell_difference_table,
@@ -213,11 +214,22 @@ def sample_attack_statistic(
     return min(stat, 1.0)
 
 
-def check_distinguish_args(n: int, t: int) -> None:
+def _check_samples_per_trial(l: int) -> None:
+    """The one cap on l: a trial draws at most as many samples as the
+    largest Bell-difference table has entries, 4^MAX_TABLE_QUBITS."""
+    cap = 4**MAX_TABLE_QUBITS
+    if not 1 <= l <= cap:
+        raise ValidationError(f"need 1 <= l <= {cap} samples per trial, got l={l}")
+
+
+def check_distinguish_args(n: int, t: int, l: int | None = None) -> None:
     """ValidationError unless distinguish accepts a t-compressible n-qubit
-    source: its Bell-difference tables hold 4^n entries."""
+    source, whose Bell-difference tables hold 4^n entries, and l samples
+    per trial (None: the default 3t + 2, within the cap)."""
     _check_table_size(n)
     CompressibleSource(n, t)
+    if l is not None:
+        _check_samples_per_trial(l)
 
 
 def distinguish(
@@ -230,8 +242,7 @@ def distinguish(
 ) -> AttackReport:
     """Run the Bell-difference attack for `trials` fresh states."""
     _check_table_size(source.n)
-    if l < 1:
-        raise ValidationError("need l >= 1 samples per trial")
+    _check_samples_per_trial(l)
     if not 0.0 < epsilon_t <= 1.0:
         raise ValidationError(f"need 0 < epsilon_t <= 1, got {epsilon_t}")
     if trials < 1:

@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
         f"CSV columns (per arm): {TRIAL_COLUMNS}. JSON: advantage row with "
         "means, stderr, l, copies.",
         lists=("t",),
-        check=lambda a: check_distinguish_args(a.n, a.t),
+        check=lambda a: check_distinguish_args(a.n, a.t, a.l),
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", required=True, help=LIST_HELP)

@@ -551,19 +551,39 @@ def export_weingarten_table(table: WeingartenTable) -> str:
 
 
 def load_weingarten_table(path: str) -> WeingartenTable:
+    """The table of an export_weingarten_table archive.  ValidationError for
+    a missing key, a ragged matrix, a bad hex string, or a monomial count
+    other than monomial_count(k) and the matrices' shape."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("schema_version") != ARCHIVE_SCHEMA_VERSION:
         raise ValidationError(f"unsupported archive version {doc.get('schema_version')}")
     if doc.get("kind") != "weingarten_table":
         raise ValidationError("not a weingarten_table archive")
-    k = doc["k"]
-    monos = tuple(
-        PauliMonomial(k, entry["m"], tuple(entry["v_cols"]), tuple(entry["m_upper"]))
-        for entry in doc["monomials"]
-    )
-    g = np.array([[float.fromhex(v) for v in row] for row in doc["gram"]])
-    w = np.array([[float.fromhex(v) for v in row] for row in doc["weingarten"]])
-    return WeingartenTable(
-        k, doc["n"], monos, g, w, doc["pseudo"], float.fromhex(doc["gram_min_singular"])
-    )
+    try:
+        k, n = doc["k"], doc["n"]
+        check_table_args(k, n)
+        monos = tuple(
+            PauliMonomial(k, entry["m"], tuple(entry["v_cols"]), tuple(entry["m_upper"]))
+            for entry in doc["monomials"]
+        )
+        g, w = (
+            np.array([[float.fromhex(v) for v in row] for row in doc[key]])
+            for key in ("gram", "weingarten")
+        )
+        table = WeingartenTable(
+            k, n, monos, g, w, doc["pseudo"], float.fromhex(doc["gram_min_singular"])
+        )
+    except KeyError as e:
+        raise ValidationError(f"table archive has no key {e}") from None
+    except ValidationError:
+        raise
+    except (TypeError, ValueError) as e:  # ragged rows, bad hex strings
+        raise ValidationError(f"malformed table archive: {e}") from None
+    count = monomial_count(k)
+    if not (len(monos) == count and g.shape == w.shape == (count, count)):
+        raise ValidationError(
+            f"a k={k} table has {count} monomials, the archive {len(monos)} "
+            f"and {g.shape} and {w.shape} matrices"
+        )
+    return table

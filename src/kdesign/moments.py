@@ -8,25 +8,32 @@ comparison at matched sample size; claims are made only above the floor.
 Standard errors come from a batch-means bootstrap.
 
 Every estimate is a weighted sum of outer products: a batch's Choi state
-averages |v><v| over its `per` Choi vectors, and a bootstrap resample
-weighs each batch by how often it was drawn.  For weights w >= 0 on r
-vectors and a reference c I in dimension D = d^2k,
+averages |v><v| over its `per` Choi vectors, a bootstrap resample weighs
+each batch by how often it was drawn, and the split-half floor weighs one
+half of the batches +1 and the other -1.  With G[i, j] = <v_i|v_j> the
+r x r Gram matrix of the vectors of nonzero weight and W = diag(w), the
+sum shares its nonzero spectrum with W G.  For weights w >= 0 and a
+reference c I in dimension D = d^2k,
 
     || sum_i w_i |v_i><v_i| - c I ||_1 = sum_j |mu_j - c| + (D - r) |c|,
 
-with mu the eigenvalues of the r x r Gram matrix
-K = diag(sqrt w) [<v_i|v_j>] diag(sqrt w), which shares the nonzero
-spectrum of the sum.  So a trace norm takes one of two routes:
+with mu the eigenvalues of K = diag(sqrt w) G diag(sqrt w).  For weights
+of either sign and no reference, factor G = L L^dag (G is positive
+definite when the r vectors are linearly independent, as r < D vectors
+drawn from a Haar seed are with probability 1): the trace norm is the sum
+of |eigenvalues| of the Hermitian L^dag W L.  So a trace norm takes one of
+two routes:
 
-- r x r: a one-sided row whose reference is exactly c I (the Haar
-  reference at k = 1, found by an exact array test) and whose S samples
-  number fewer than D keeps its Choi vectors and their S x S Gram matrix.
-  Its value and bootstrap draws then take eigenvalues of r x r blocks,
-  r <= S < D.
-- D x D, through trace_distance: everything else.  That is the
-  split-half floor (its weights have both signs), two-sided estimates,
-  other references and rows with S >= D, which keep dense batch Choi
-  states.  Their means and differences are formed in two reused buffers,
+- r x r, the Gram route: a one-sided row whose reference is exactly c I
+  (the Haar reference at k = 1, found by an exact array test) and whose S
+  samples number fewer than D.  The step that draws its Choi vectors
+  checks each batch's trace and keeps only their S x S Gram matrix; the
+  row keeps only c of its reference.  Its value and bootstrap draws take
+  eigenvalues of K on r x r blocks, r <= S < D, and its split-half floor
+  those of L^dag W L.  No D x D array outlives the draw.
+- D x D, through trace_distance: rows with S >= D, references other than
+  c I (k >= 2), and the two-sided estimates.  They keep dense batch Choi
+  states, whose means and differences are formed in two reused buffers,
   in the order sum() adds them.
 """
 
@@ -48,7 +55,7 @@ from .ensembles import (
     exact_moment_choi,
     moment_choi,
 )
-from .errors import ValidationError
+from .errors import InternalConsistencyError, ValidationError
 
 NUM_BATCHES = 10
 BOOTSTRAP_DRAWS = 20
@@ -127,22 +134,22 @@ def _batch_split(samples: int) -> tuple[int, int]:
 
 
 def _batched_choi(
-    spec: EnsembleSpec, k: int, samples: int, rng: np.random.Generator, vectors: bool = False
-) -> tuple[list[np.ndarray] | np.ndarray, int]:
-    """NUM_BATCHES Monte Carlo Choi estimates and the samples they use.
-
-    With `vectors` and fewer samples than the Choi dimension, they come as
-    one (NUM_BATCHES, per, D) stack of Choi vectors, each batch's trace
-    checked on its |v|^2; else as dense moment_choi states.  Both draw the
-    same stream.
-    """
+    spec: EnsembleSpec, k: int, samples: int, rng: np.random.Generator
+) -> tuple[list[np.ndarray], int]:
+    """NUM_BATCHES dense Monte Carlo Choi estimates and the samples they use."""
     per, used = _batch_split(samples)
-    if vectors and used < _choi_dims(spec, k)[1] ** 2:
-        vs = _choi_vectors(spec, k, used, rng).reshape(NUM_BATCHES, per, -1)
-        for batch in vs:
-            _check_trace(np.vdot(batch, batch).real / per)
-        return vs, used
     return [moment_choi(spec, k, per, rng) for _ in range(NUM_BATCHES)], used
+
+
+def _batched_gram(spec: EnsembleSpec, k: int, samples: int, rng: np.random.Generator) -> np.ndarray:
+    """The S x S Gram matrix <v_i|v_j> of the Choi vectors whose outer
+    products the batches of _batched_choi average, drawn from the same
+    stream, each batch's trace checked on its |v|^2.  The vectors die here."""
+    per, used = _batch_split(samples)
+    vs = _choi_vectors(spec, k, used, rng)
+    for batch in vs.reshape(NUM_BATCHES, per, -1):
+        _check_trace(np.vdot(batch, batch).real / per)
+    return vs.conj() @ vs.T
 
 
 def _mean_into(out: np.ndarray, batches: list[np.ndarray], idx) -> np.ndarray:
@@ -154,56 +161,84 @@ def _mean_into(out: np.ndarray, batches: list[np.ndarray], idx) -> np.ndarray:
     return out
 
 
+def _bootstrap(distance, two_sided: bool, rng: np.random.Generator) -> tuple[float, float]:
+    """(value, stderr): distance(ia, ib) over every batch, and the standard
+    deviation of BOOTSTRAP_DRAWS batch-means resamples of it; ia and ib index
+    the batches of each side, ib None for a one-sided estimate."""
+    nb = NUM_BATCHES
+    value = distance(range(nb), range(nb))
+    boots = np.empty(BOOTSTRAP_DRAWS)
+    for i in range(BOOTSTRAP_DRAWS):
+        ia = rng.integers(nb, size=nb)
+        ib = rng.integers(nb, size=nb) if two_sided else None
+        boots[i] = distance(ia, ib)
+    return value, float(boots.std(ddof=1))
+
+
+def _signed_gram_trace_norm(gram: np.ndarray, w: np.ndarray) -> float:
+    """||sum_i w_i |v_i><v_i|||_1 for weights w of either sign, from the
+    positive definite gram[i, j] = <v_i|v_j> = (L L^dag)[i, j]: the sum
+    shares its nonzero spectrum with L^dag W L, and so with its conjugate
+    L^T W conj(L), built here in gram's memory.  Overwrites gram: at most
+    three S x S arrays are live, and eigvalsh's copy fits where L and the
+    matmul's buffer were."""
+    try:
+        low = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        raise InternalConsistencyError("the Gram matrix is not positive definite") from None
+    m = np.conjugate(low, out=gram)
+    m *= w[:, None]
+    np.matmul(low.T, m, out=m)  # numpy buffers the overlapping operand
+    del low
+    return float(np.abs(np.linalg.eigvalsh(m)).sum())
+
+
+def _distance_from_gram(
+    gram: np.ndarray, c: float, dim: int, rng: np.random.Generator
+) -> tuple[float, float, float]:
+    """(value, bootstrap stderr, split-half null floor) of a one-sided row
+    against c I in dimension dim, from the S x S Gram matrix of its
+    NUM_BATCHES equal batches of Choi vectors (the r x r route).  The floor
+    comes last, as it overwrites gram."""
+    nb, h = NUM_BATCHES, NUM_BATCHES // 2
+    per = len(gram) // nb
+
+    def distance(ia, _ib) -> float:
+        w = np.repeat(np.bincount(ia, minlength=nb) / (nb * per), per)
+        return 0.5 * _gram_trace_norm(gram, w, c, dim)
+
+    value, stderr = _bootstrap(distance, False, rng)
+    halves = np.repeat(np.r_[np.full(h, 1 / h), np.full(nb - h, -1 / (nb - h))] / per, per)
+    return value, stderr, 0.5 * _signed_gram_trace_norm(gram, halves) / 2.0
+
+
 def _distance_from_batches(
-    batches_a: list[np.ndarray] | np.ndarray,
+    batches_a: list[np.ndarray],
     batches_b: list[np.ndarray] | None,
     exact_ref: np.ndarray | None,
     rng: np.random.Generator,
 ) -> tuple[float, float, float]:
-    """(value, bootstrap stderr, split-half null floor).
+    """(value, bootstrap stderr, split-half null floor) on the D x D route.
 
-    Batches given as a stack of Choi vectors are one-sided against an
-    exact_ref of the form c I, and take the r x r route (module docstring).
     The half-vs-half distance runs at twice the variance of the full mean,
     so the one-sided noise level is half of it; two noisy sides combine in
     quadrature.
     """
     nb = len(batches_a)
     h = nb // 2
-    if isinstance(batches_a, np.ndarray):
-        per, dim = batches_a.shape[1:]
-        flat = batches_a.reshape(nb * per, dim)
-        gram = flat.conj() @ flat.T
-        c = _scalar(exact_ref)
+    buf, other = np.empty_like(batches_a[0]), np.empty_like(batches_a[0])
 
-        def distance(ia, _ib) -> float:
-            w = np.repeat(np.bincount(ia, minlength=nb) / (nb * per), per)
-            return 0.5 * _gram_trace_norm(gram, w, c, dim)
+    def distance(ia, ib) -> float:
+        diff = _mean_into(buf, batches_a, ia)
+        diff -= exact_ref if batches_b is None else _mean_into(other, batches_b, ib)
+        return trace_distance(diff)
 
-        def split_half(_batches) -> float:
-            w = np.repeat(np.r_[np.full(h, 1 / h), np.full(nb - h, -1 / (nb - h))] / per, per)
-            return trace_distance((flat.T * w) @ flat.conj())
+    def split_half(batches) -> float:
+        diff = _mean_into(buf, batches, range(h))
+        diff -= _mean_into(other, batches, range(h, nb))
+        return trace_distance(diff)
 
-    else:
-        buf, other = np.empty_like(batches_a[0]), np.empty_like(batches_a[0])
-
-        def distance(ia, ib) -> float:
-            diff = _mean_into(buf, batches_a, ia)
-            diff -= exact_ref if batches_b is None else _mean_into(other, batches_b, ib)
-            return trace_distance(diff)
-
-        def split_half(batches) -> float:
-            diff = _mean_into(buf, batches, range(h))
-            diff -= _mean_into(other, batches, range(h, nb))
-            return trace_distance(diff)
-
-    value = distance(range(nb), range(nb))
-    boots = np.empty(BOOTSTRAP_DRAWS)
-    for i in range(BOOTSTRAP_DRAWS):
-        ia = rng.integers(nb, size=nb)
-        ib = None if batches_b is None else rng.integers(nb, size=nb)
-        boots[i] = distance(ia, ib)
-    stderr = float(boots.std(ddof=1))
+    value, stderr = _bootstrap(distance, batches_b is not None, rng)
     fa = split_half(batches_a)
     if batches_b is None:
         floor = fa / 2.0
@@ -268,13 +303,18 @@ def decay_experiment(
     check_decay_args(n, k, t_list)
     ts = sorted(set(t_list))
     ref = exact_moment_choi(Haar(n), k)
-    scalar = _scalar(ref) is not None
+    dim, c = len(ref), _scalar(ref)
+    _, used = _batch_split(samples)
+    if c is not None and used < dim:
+        ref = None  # a Gram-route row needs only c
     rows = []
     for t in ts:
         spec = Homeopathy(n, t, Haar(t))
-        batches, used = _batched_choi(spec, k, samples, rng, vectors=scalar)
-        value, stderr, floor = _distance_from_batches(batches, None, ref, rng)
-        rows.append(DecayRow(t, value, stderr, floor, used))
+        if ref is None:
+            est = _distance_from_gram(_batched_gram(spec, k, samples, rng), c, dim, rng)
+        else:
+            est = _distance_from_batches(_batched_choi(spec, k, samples, rng)[0], None, ref, rng)
+        rows.append(DecayRow(t, *est, used))
     return DecayReport(n, k, tuple(rows))
 
 

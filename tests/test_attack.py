@@ -254,6 +254,22 @@ def test_distinguish_validation():
             distinguish(CompressibleSource(3, 0), 2, eps, 10, rng, thresholded=True)
 
 
+def test_one_cap_on_samples_per_trial():
+    # distinguish and the CLI's pre-run check raise the one message
+    rng = np.random.default_rng(199)
+    for l in (0, 4097, 10**12):
+        with pytest.raises(ValidationError) as run_error:
+            distinguish(CompressibleSource(2, 1), l, 0.5, 1, rng)
+        with pytest.raises(ValidationError) as check_error:
+            check_distinguish_args(2, 1, l)
+        assert str(run_error.value) == str(check_error.value) == (
+            f"need 1 <= l <= 4096 samples per trial, got l={l}"
+        )
+    assert rng.bit_generator.state == np.random.default_rng(199).bit_generator.state
+    check_distinguish_args(2, 1, 4096)
+    check_distinguish_args(2, 1)  # the default 3t + 2
+
+
 def test_advantage_curve_rows():
     rng = np.random.default_rng(211)
     rows = [

@@ -428,6 +428,10 @@ BAD_LATER_VALUE = {
     "distinguish-n8": ["distinguish", "--n", "8", "--t", "0", "--trials", "2", "--seed", "1"],
     # the source range needs a qubit
     "distinguish-n0": ["distinguish", "--n", "0", "--t", "0", "--trials", "2", "--seed", "1"],
+    # past the cap of 4^6 samples per trial
+    "distinguish-l": [
+        "distinguish", "--n", "2", "--t", "0,1", "--trials", "1", "--seed", "1", "--l", "4097",
+    ],
 }
 
 
@@ -463,6 +467,11 @@ BAD_BEFORE_DRAW = {
     "twirl-k5": ["twirl-check", "--n", "1", "--k", "5", "--inputs", "1", "--seed", "1"],
     "vandermonde-k0": ["vandermonde", "--k", "0"],
     "vandermonde-k17": ["vandermonde", "--k", "17"],
+    # l samples per trial past the cap; numpy used to fail to allocate them
+    "distinguish-l1e12": [
+        "distinguish", "--n", "2", "--t", "1", "--trials", "1", "--seed", "1",
+        "--l", "1000000000000",
+    ],
 }
 
 

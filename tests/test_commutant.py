@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
 from fractions import Fraction
 from functools import reduce
 
 import numpy as np
 import pytest
 
-from kdesign import commutant
+from kdesign import cli, commutant
 from kdesign.commutant import (
     PauliMonomial,
     _alpha_table,
@@ -790,3 +791,59 @@ def test_archive_round_trip(tmp_path):
     assert back.gram_min_singular == t.gram_min_singular
     # exporting twice is byte-identical
     assert export_weingarten_table(t) == path.read_text()
+
+
+def edited_archive(tmp_path, edit) -> str:
+    """The `kdesign commutant --k 3 --n 1` archive (6 monomials), edited."""
+    assert cli.main(["commutant", "--k", "3", "--n", "1", "--out", str(tmp_path)]) == 0
+    path = tmp_path / "commutant_k3_n1.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("key", ["k", "n", "monomials", "gram", "weingarten", "gram_min_singular"])
+def test_archive_missing_a_key_is_rejected(tmp_path, key):
+    path = edited_archive(tmp_path, lambda doc: doc.pop(key))
+    with pytest.raises(ValidationError, match=f"no key '{key}'"):
+        load_weingarten_table(path)
+
+
+@pytest.mark.parametrize("key", ["gram", "weingarten"])
+def test_archive_with_a_ragged_row_is_rejected(tmp_path, key):
+    path = edited_archive(tmp_path, lambda doc: doc[key][2].pop())
+    with pytest.raises(ValidationError, match="malformed table archive"):
+        load_weingarten_table(path)
+
+
+def test_archive_with_a_bad_hex_string_is_rejected(tmp_path):
+    def edit(doc):
+        doc["weingarten"][1][3] = "0x1.8p+zz"
+
+    with pytest.raises(ValidationError, match="malformed table archive"):
+        load_weingarten_table(edited_archive(tmp_path, edit))
+
+
+def drop_last_monomial(doc):
+    doc["monomials"].pop()
+
+
+def drop_last_row_and_column(doc):
+    for key in ("gram", "weingarten"):
+        doc[key] = [row[:-1] for row in doc[key][:-1]]
+
+
+@pytest.mark.parametrize(
+    "edits",
+    [
+        (drop_last_monomial,),  # 5 monomials, 6 x 6 matrices
+        (drop_last_row_and_column,),  # 6 monomials, 5 x 5 matrices
+        (drop_last_monomial, drop_last_row_and_column),  # 5 and 5 x 5, but k = 3 has 6
+    ],
+    ids=["short-list", "small-matrices", "both"],
+)
+def test_archive_with_the_wrong_monomial_count_is_rejected(tmp_path, edits):
+    path = edited_archive(tmp_path, lambda doc: [edit(doc) for edit in edits])
+    with pytest.raises(ValidationError, match="a k=3 table has 6 monomials"):
+        load_weingarten_table(path)

@@ -16,7 +16,7 @@ from kdesign.ensembles import (
     exact_moment_choi,
     moment_choi,
 )
-from kdesign.errors import ValidationError
+from kdesign.errors import InternalConsistencyError, ValidationError
 from kdesign.moments import (
     DecayReport,
     DecayRow,
@@ -28,7 +28,7 @@ from kdesign.moments import (
     monotone_above_floor,
     trace_distance,
 )
-from kdesign.moments import _gram_trace_norm, _scalar
+from kdesign.moments import _batched_gram, _distance_from_gram, _gram_trace_norm, _scalar
 
 
 def test_trace_distance_basics():
@@ -267,8 +267,8 @@ def test_decay_rows_match_the_dense_evaluation(monkeypatch, n, k, samples):
     report = decay_experiment(n, k, ts, samples, rng)
     got = [(r.t, r.distance, r.stderr, r.floor, r.samples) for r in report.rows]
     gram_route = k == 1 and samples < 4**n
-    # only the split-half floor leaves the r x r route
-    assert len(calls) == len(ts) * (1 if gram_route else 22)
+    # a Gram-route row takes no D x D trace norm, the floor included
+    assert len(calls) == len(ts) * (0 if gram_route else 22)
     if gram_route:
         for g, e in zip(got, expected):
             assert (g[0], g[4]) == (e[0], e[4])
@@ -276,3 +276,49 @@ def test_decay_rows_match_the_dense_evaluation(monkeypatch, n, k, samples):
     else:
         assert got == expected
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def dense_split_half_floor(vs, per):
+    """The split-half floor as one D x D eigvalsh of the signed sum of the
+    rows' outer products: the first five batches weigh +1/5, the last -1/5."""
+    w = np.repeat(np.r_[np.full(5, 1 / 5), np.full(5, -1 / 5)] / per, per)
+    return trace_distance((vs.T * w) @ vs.conj()) / 2
+
+
+@pytest.mark.parametrize(
+    "per, dim",
+    [
+        (1, 256),  # one sample per batch, S = 10 << D
+        (3, 256),  # S = 30 << D
+        (6, 64),  # S = 60, just below D
+        (25, 256),  # S = 250, just below D
+    ],
+)
+def test_gram_floor_matches_the_dense_split_half(per, dim):
+    rng = np.random.default_rng(1100 + per + dim)
+    vs = rng.normal(size=(10 * per, dim)) + 1j * rng.normal(size=(10 * per, dim))
+    vs /= np.linalg.norm(vs, axis=1, keepdims=True)
+    expected = dense_split_half_floor(vs, per)
+    _, _, floor = _distance_from_gram(vs.conj() @ vs.T, 1 / dim, dim, rng)
+    assert floor == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def test_a_gram_matrix_of_repeated_vectors_raises():
+    # every draw is the identity, so all ten Choi vectors are one vector
+    # with entries 0 and 1/2, and their Gram matrix is exactly all ones
+    spec = FixedList((DenseOperator(4, np.eye(4, dtype=complex)),))
+    rng = np.random.default_rng(127)
+    gram = _batched_gram(spec, 1, 10, rng)
+    assert np.array_equal(gram, np.ones((10, 10)))
+    with pytest.raises(InternalConsistencyError, match="not positive definite"):
+        _distance_from_gram(gram, 1 / 16, 16, rng)
+
+
+@pytest.mark.parametrize("n, samples", [(3, 50), (4, 200)])
+def test_gram_route_rows_take_no_eigvalsh_larger_than_s(monkeypatch, n, samples):
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: sizes.append(a.shape) or eigvalsh(a))
+    decay_experiment(n, 1, list(range(1, n + 1)), samples, np.random.default_rng(131))
+    assert len(sizes) == n * 22
+    assert max(max(shape) for shape in sizes) == samples
