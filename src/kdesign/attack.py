@@ -16,9 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense import (
-    MAX_TABLE_QUBITS,
     StateVector,
-    _check_table_size,
     bell_difference_table,
     draw_from_table,
     expectation,
@@ -35,7 +33,7 @@ from .f2 import (
     symplectic_product,
 )
 from .pauli import (
-    MAX_SCAN_QUBITS,
+    MAX_TABLE_QUBITS,
     CliffordOp,
     PauliString,
     StabilizerGroup,
@@ -142,9 +140,9 @@ class CompressibleSource:
     t: int
 
     def __post_init__(self) -> None:
-        if not (0 <= self.t <= self.n <= MAX_SCAN_QUBITS and self.n >= 1):
+        if not (0 <= self.t <= self.n <= MAX_TABLE_QUBITS and self.n >= 1):
             raise ValidationError(
-                f"need 0 <= t <= n and 1 <= n <= {MAX_SCAN_QUBITS}, got n={self.n}, t={self.t}"
+                f"need 0 <= t <= n and 1 <= n <= {MAX_TABLE_QUBITS}, got n={self.n}, t={self.t}"
             )
 
     def draw(self, rng: np.random.Generator) -> StateVector:
@@ -224,9 +222,8 @@ def _check_samples_per_trial(l: int) -> None:
 
 def check_distinguish_args(n: int, t: int, l: int | None = None) -> None:
     """ValidationError unless distinguish accepts a t-compressible n-qubit
-    source, whose Bell-difference tables hold 4^n entries, and l samples
-    per trial (None: the default 3t + 2, within the cap)."""
-    _check_table_size(n)
+    source and l samples per trial (None: the default 3t + 2, within the
+    cap)."""
     CompressibleSource(n, t)
     if l is not None:
         _check_samples_per_trial(l)
@@ -241,7 +238,6 @@ def distinguish(
     thresholded: bool = False,
 ) -> AttackReport:
     """Run the Bell-difference attack for `trials` fresh states."""
-    _check_table_size(source.n)
     _check_samples_per_trial(l)
     if not 0.0 < epsilon_t <= 1.0:
         raise ValidationError(f"need 0 < epsilon_t <= 1, got {epsilon_t}")

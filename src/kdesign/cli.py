@@ -151,10 +151,10 @@ def _for_each(args: argparse.Namespace) -> int:
 
 
 def _ensemble_from_args(args: argparse.Namespace):
-    if args.ensemble == "haar":
-        return Haar(args.n)
-    if args.ensemble == "clifford":
-        return CliffordUniform(args.n)
+    if args.ensemble != "homeopathy":
+        if args.t is not None:
+            raise ValidationError(f"--t is for the homeopathy ensemble, not {args.ensemble}")
+        return Haar(args.n) if args.ensemble == "haar" else CliffordUniform(args.n)
     if args.t is None:
         raise ValidationError("homeopathy ensemble needs --t")
     return Homeopathy(args.n, args.t, Haar(args.t))

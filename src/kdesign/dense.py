@@ -24,7 +24,6 @@ from .pauli import (
 )
 
 MAX_DENSE_DIM = 1 << MAX_DENSE_QUBITS
-MAX_TABLE_QUBITS = 6  # 4^n Pauli tables
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,16 +122,10 @@ def expectation(psi, p: PauliString) -> float:
 # the flat C-order index is a * 2^n + b, and XOR acts componentwise on it.
 
 
-def _check_table_size(n: int) -> None:
-    if n > MAX_TABLE_QUBITS:
-        raise ValidationError(f"4^n tables limited to n <= {MAX_TABLE_QUBITS}, got n={n}")
-
-
 def pauli_distribution(psi) -> np.ndarray:
     """Characteristic distribution: table of tr^2(P psi)/d over all P."""
     amps = _amps(psi)
     n = _qubit_count(amps)
-    _check_table_size(n)
     exps = pauli_expectations_all(amps, n)
     table = exps**2 / (1 << n)
     total = float(table.sum())
@@ -149,7 +142,6 @@ def bell_table(psi) -> np.ndarray:
     """
     amps = _amps(psi)
     n = _qubit_count(amps)
-    _check_table_size(n)
     # no conjugate: transpose inner product
     out = np.abs(_pauli_table(amps, amps)) ** 2 / (1 << n)
     total = float(out.sum())
@@ -205,7 +197,6 @@ def bell_difference_sample(
     """
     amps = _amps(psi)
     n = _qubit_count(amps)
-    _check_table_size(n)
     t = bell_table(amps) if table is None else table
     f1, f2 = (int(v) for v in draw_from_table(t, rng, 2))
     return flat_index_to_pauli(f1 ^ f2, n)

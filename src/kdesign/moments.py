@@ -24,13 +24,13 @@ drawn from a Haar seed are with probability 1): the trace norm is the sum
 of |eigenvalues| of the Hermitian L^dag W L.  So a trace norm takes one of
 two routes:
 
-- r x r, the Gram route: a one-sided row whose reference is exactly c I
-  (the Haar reference at k = 1, found by an exact array test) and whose S
-  samples number fewer than D.  The step that draws its Choi vectors
-  checks each batch's trace and keeps only their S x S Gram matrix; the
-  row keeps only c of its reference.  Its value and bootstrap draws take
-  eigenvalues of K on r x r blocks, r <= S < D, and its split-half floor
-  those of L^dag W L.  No D x D array outlives the draw.
+- r x r, the Gram route: a one-sided row at k = 1, where the Haar
+  reference is exactly I / D, so c = 1 / D, and whose S samples number
+  fewer than D.  The step that draws its Choi vectors checks each batch's
+  trace and keeps only their S x S Gram matrix, and no dense reference is
+  built.  Its value and bootstrap draws take eigenvalues of K on r x r
+  blocks, r <= S < D, and its split-half floor those of L^dag W L.  No
+  D x D array outlives the draw.
 - D x D, through trace_distance: rows with S >= D, references other than
   c I (k >= 2), and the two-sided estimates.  They keep dense batch Choi
   states, whose means and differences are formed in two reused buffers,
@@ -115,14 +115,6 @@ def _gram_trace_norm(gram: np.ndarray, w: np.ndarray, c: float, dim: int) -> flo
     k *= s[:, None]
     k *= s
     return float(np.abs(np.linalg.eigvalsh(k) - c).sum()) + (dim - len(keep)) * abs(c)
-
-
-def _scalar(ref: np.ndarray) -> float | None:
-    """c when ref is exactly c I, else None; no tolerance."""
-    diag = np.diagonal(ref)
-    c = diag[0]
-    exact = c.imag == 0 and np.all(diag == c) and np.count_nonzero(ref) == np.count_nonzero(diag)
-    return float(c.real) if exact else None
 
 
 def _batch_split(samples: int) -> tuple[int, int]:
@@ -247,6 +239,12 @@ def _distance_from_batches(
     return value, stderr, floor
 
 
+def _check_same_register(spec_a: EnsembleSpec, spec_b: EnsembleSpec) -> None:
+    """A two-sided estimate compares two ensembles on one register."""
+    if spec_a.n_qubits != spec_b.n_qubits:
+        raise ValidationError(f"specs act on {spec_a.n_qubits} and {spec_b.n_qubits} qubits")
+
+
 def choi_trace_distance(
     spec_a: EnsembleSpec,
     spec_b: EnsembleSpec,
@@ -255,6 +253,7 @@ def choi_trace_distance(
     rng: np.random.Generator,
 ) -> DistanceEstimate:
     """Plug-in ||J_A - J_B||_1 / 2 from two Monte Carlo Choi estimates."""
+    _check_same_register(spec_a, spec_b)
     batches_a, used = _batched_choi(spec_a, k, samples, rng)
     batches_b, _ = _batched_choi(spec_b, k, samples, rng)
     value, stderr, floor = _distance_from_batches(batches_a, batches_b, None, rng)
@@ -269,6 +268,7 @@ def adaptive_distance(
     rng: np.random.Generator,
 ) -> DistanceEstimate:
     """Trace distance of averaged adaptive outputs for a fixed query list."""
+    _check_same_register(spec_a, spec_b)
     per, used = _batch_split(samples)
 
     def batches(spec):
@@ -302,16 +302,15 @@ def decay_experiment(
     """
     check_decay_args(n, k, t_list)
     ts = sorted(set(t_list))
-    ref = exact_moment_choi(Haar(n), k)
-    dim, c = len(ref), _scalar(ref)
+    dim = 4 ** (n * k)  # the Choi dimension d^2k
     _, used = _batch_split(samples)
-    if c is not None and used < dim:
-        ref = None  # a Gram-route row needs only c
+    # at k = 1 the reference is exactly I / dim: a Gram-route row needs only 1 / dim
+    ref = None if k == 1 and used < dim else exact_moment_choi(Haar(n), k)
     rows = []
     for t in ts:
         spec = Homeopathy(n, t, Haar(t))
         if ref is None:
-            est = _distance_from_gram(_batched_gram(spec, k, samples, rng), c, dim, rng)
+            est = _distance_from_gram(_batched_gram(spec, k, samples, rng), 1 / dim, dim, rng)
         else:
             est = _distance_from_batches(_batched_choi(spec, k, samples, rng)[0], None, ref, rng)
         rows.append(DecayRow(t, *est, used))

@@ -557,6 +557,11 @@ def _fwht(v: np.ndarray) -> np.ndarray:
 _I_POWERS = 1j ** np.arange(4)
 
 
+# The largest register with a 4^n Pauli table: expectations, stabilizer
+# scans, Bell and Bell-difference tables, and so the attack built on them.
+MAX_TABLE_QUBITS = 8
+
+
 def _pauli_table(left: np.ndarray, amps: np.ndarray) -> np.ndarray:
     """Entry [a, b] is sum_x left[x ^ a] <x ^ a| sigma(a, b) |x> amps[x].
 
@@ -565,6 +570,9 @@ def _pauli_table(left: np.ndarray, amps: np.ndarray) -> np.ndarray:
     Pauli expectations, left = amps the transpose amplitudes of the Bell
     basis.
     """
+    n = _qubit_count(amps)
+    if n > MAX_TABLE_QUBITS:
+        raise ValidationError(f"4^n tables limited to n <= {MAX_TABLE_QUBITS}, got n={n}")
     idx = np.arange(len(amps))
     f = _fwht(left[idx[:, None] ^ idx] * amps)
     return _I_POWERS[np.bitwise_count(idx[:, None] & idx) % 4] * f
@@ -592,11 +600,6 @@ def _qubit_count(amps: np.ndarray) -> int:
     return d.bit_length() - 1
 
 
-# The largest register whose 4^n Paulis stabilizer_group_of scans, and so the
-# largest register of the attack pipeline built on it.
-MAX_SCAN_QUBITS = 8
-
-
 def stabilizer_group_of(psi, t: int) -> StabilizerGroup:
     """Scan all 4^n Paulis for expectation +/-1 (tolerance 1e-9) on psi.
 
@@ -606,8 +609,6 @@ def stabilizer_group_of(psi, t: int) -> StabilizerGroup:
     """
     amps = np.asarray(getattr(psi, "amplitudes", psi), dtype=complex)
     n = _qubit_count(amps)
-    if n > MAX_SCAN_QUBITS:
-        raise ValidationError(f"stabilizer scan limited to n <= {MAX_SCAN_QUBITS}")
     if not 0 <= t <= n:
         raise ValidationError(f"need 0 <= t <= n, got t={t}")
 

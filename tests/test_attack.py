@@ -24,14 +24,16 @@ from kdesign.attack import (
 from kdesign.dense import (
     StateVector,
     bell_difference_table,
+    bell_table,
     draw_from_table,
     expectation,
     flat_index_to_pauli,
     haar_state,
+    pauli_distribution,
 )
 from kdesign.errors import ValidationError
 from kdesign.f2 import rank
-from kdesign.pauli import clifford_to_matrix, stabilizer_group_of
+from kdesign.pauli import clifford_to_matrix, pauli_expectations_all, stabilizer_group_of
 
 
 def test_make_compressible_validation():
@@ -135,14 +137,24 @@ def test_source_validation():
     assert str(draw_error.value) == str(source_error.value) == (
         "need 0 <= t <= n and 1 <= n <= 8, got n=0, t=0"
     )
-    # the distinguisher's 4^n table bound is the dense tables' own
-    with pytest.raises(ValidationError) as table_error:
-        check_distinguish_args(7, 1)
-    with pytest.raises(ValidationError) as dense_error:
-        bell_difference_table(StateVector.basis(7))
-    assert str(table_error.value) == str(dense_error.value) == (
-        "4^n tables limited to n <= 6, got n=7"
-    )
+
+
+# every 4^n Pauli table, and the distinguisher's pre-run check, on n qubits
+PAULI_TABLE_CALLS = {
+    "pauli_expectations_all": lambda n: pauli_expectations_all(StateVector.basis(n).amplitudes, n),
+    "pauli_distribution": lambda n: pauli_distribution(StateVector.basis(n)),
+    "bell_table": lambda n: bell_table(StateVector.basis(n)),
+    "bell_difference_table": lambda n: bell_difference_table(StateVector.basis(n)),
+    "stabilizer_group_of": lambda n: stabilizer_group_of(StateVector.basis(n), 0),
+    "check_distinguish_args": lambda n: check_distinguish_args(n, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAULI_TABLE_CALLS))
+def test_one_qubit_bound_covers_every_pauli_table(name):
+    PAULI_TABLE_CALLS[name](8)
+    with pytest.raises(ValidationError, match="n <= 8, got n=9"):
+        PAULI_TABLE_CALLS[name](9)
 
 
 def test_samples_lie_in_stabilizer_support():
@@ -257,16 +269,16 @@ def test_distinguish_validation():
 def test_one_cap_on_samples_per_trial():
     # distinguish and the CLI's pre-run check raise the one message
     rng = np.random.default_rng(199)
-    for l in (0, 4097, 10**12):
+    for l in (0, 4**8 + 1, 10**12):
         with pytest.raises(ValidationError) as run_error:
             distinguish(CompressibleSource(2, 1), l, 0.5, 1, rng)
         with pytest.raises(ValidationError) as check_error:
             check_distinguish_args(2, 1, l)
         assert str(run_error.value) == str(check_error.value) == (
-            f"need 1 <= l <= 4096 samples per trial, got l={l}"
+            f"need 1 <= l <= 65536 samples per trial, got l={l}"
         )
     assert rng.bit_generator.state == np.random.default_rng(199).bit_generator.state
-    check_distinguish_args(2, 1, 4096)
+    check_distinguish_args(2, 1, 4**8)
     check_distinguish_args(2, 1)  # the default 3t + 2
 
 

@@ -119,6 +119,12 @@ def test_distinguish_outputs_and_determinism(tmp_path, capsys):
     assert doc["rows"][0]["advantage"] > 0.5
 
 
+def test_distinguish_runs_at_the_pauli_table_bound(tmp_path, capsys):
+    argv = ["distinguish", "--n", "8", "--t", "0,8", "--trials", "3", "--seed", "1"]
+    assert run(argv + ["--out", str(tmp_path)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+
+
 def test_twirl_check_flags_three_design(tmp_path, capsys):
     rc = run(
         ["twirl-check", "--n", "1", "--k", "2", "--inputs", "2", "--seed", "1", "--out", str(tmp_path)]
@@ -423,14 +429,13 @@ BAD_LATER_VALUE = {
     "commutant-n": ["commutant", "--k", "2,3", "--n", "1,0"],
     "decay-k": ["decay", "--n", "5", "--k", "1,2", "--t", "1", "--samples", "20", "--seed", "1"],
     "distinguish-t": ["distinguish", "--n", "3", "--t", "0,4", "--trials", "2", "--seed", "1"],
-    # within CompressibleSource's limit, past the 4^n Bell tables'
-    "distinguish-n7": ["distinguish", "--n", "7", "--t", "0,1", "--trials", "2", "--seed", "1"],
-    "distinguish-n8": ["distinguish", "--n", "8", "--t", "0", "--trials", "2", "--seed", "1"],
+    # past the one 4^n Pauli-table bound
+    "distinguish-n9": ["distinguish", "--n", "9", "--t", "0,1", "--trials", "2", "--seed", "1"],
     # the source range needs a qubit
     "distinguish-n0": ["distinguish", "--n", "0", "--t", "0", "--trials", "2", "--seed", "1"],
-    # past the cap of 4^6 samples per trial
+    # past the cap of 4^8 samples per trial
     "distinguish-l": [
-        "distinguish", "--n", "2", "--t", "0,1", "--trials", "1", "--seed", "1", "--l", "4097",
+        "distinguish", "--n", "2", "--t", "0,1", "--trials", "1", "--seed", "1", "--l", "65537",
     ],
 }
 
@@ -458,6 +463,9 @@ BAD_BEFORE_DRAW = {
     "clifford-n40": FP + ["clifford", "--n", "40"],
     "homeopathy-n40": FP + ["homeopathy", "--n", "40", "--t", "2"],
     "homeopathy-t-over-n": FP + ["homeopathy", "--n", "2", "--t", "3"],
+    # --t sizes a homeopathy seed; other ensembles have none to size
+    "haar-t": FP + ["haar", "--n", "1", "--t", "5"],
+    "clifford-t": FP + ["clifford", "--n", "1", "--t", "5"],
     # d^(4k) = 2^4000 overflows float64
     "frame-potential-k1000": [
         "frame-potential", "--ensemble", "haar", "--n", "1", "--k", "1000",

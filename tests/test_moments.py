@@ -28,7 +28,7 @@ from kdesign.moments import (
     monotone_above_floor,
     trace_distance,
 )
-from kdesign.moments import _batched_gram, _distance_from_gram, _gram_trace_norm, _scalar
+from kdesign.moments import _batched_gram, _distance_from_gram, _gram_trace_norm
 
 
 def test_trace_distance_basics():
@@ -104,6 +104,20 @@ def test_every_estimate_splits_its_samples_by_one_rule(name):
     rng = np.random.default_rng(0)
     with pytest.raises(ValidationError, match=f"need at least {moments.NUM_BATCHES} samples"):
         BATCH_SPLIT_CALLS[name](rng)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state  # no draw
+
+
+TWO_SIDED_CALLS = {
+    "choi_trace_distance": lambda rng: choi_trace_distance(Haar(1), Haar(2), 1, 20, rng),
+    "adaptive_distance": lambda rng: adaptive_distance(Haar(1), Haar(2), [np.eye(4)], 20, rng),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWO_SIDED_CALLS))
+def test_two_sided_estimates_need_one_register(name):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValidationError, match="specs act on 1 and 2 qubits"):
+        TWO_SIDED_CALLS[name](rng)
     assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state  # no draw
 
 
@@ -212,15 +226,29 @@ def test_gram_trace_norm_matches_dense_eigvalsh(nonzero, zeros, c):
     assert got == pytest.approx(expected, rel=1e-12, abs=0)
 
 
-def test_scalar_reference_is_an_exact_array_test():
-    assert _scalar(exact_moment_choi(Haar(3), 1)) == 1 / 64
-    assert _scalar(np.zeros((4, 4), dtype=complex)) == 0.0
-    assert _scalar(exact_moment_choi(Haar(1), 2)) is None
-    eye = np.eye(4, dtype=complex) / 4
-    for i, j, bump in ((0, 1, 1e-300), (2, 2, 1e-16), (3, 3, 1e-300j)):
-        near = eye.copy()
-        near[i, j] += bump
-        assert _scalar(near) is None, (i, j, bump)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_haar_choi_at_k1_is_exactly_identity_over_d(n):
+    # the closed form the r x r route uses, against the commutant path
+    got = exact_moment_choi(Haar(n), 1)
+    assert got.tobytes() == (np.eye(4**n, dtype=complex) / 4**n).tobytes()
+
+
+def test_decay_builds_the_dense_reference_only_for_dense_rows(monkeypatch):
+    def never(spec, k):
+        raise AssertionError("a Gram-route row built the dense Haar reference")
+
+    monkeypatch.setattr(moments, "exact_moment_choi", never)
+    decay_experiment(2, 1, [1, 2], 10, np.random.default_rng(5))  # S = 10 < D = 16
+    calls = []
+
+    def counted(spec, k):
+        calls.append((spec, k))
+        return exact_moment_choi(spec, k)
+
+    monkeypatch.setattr(moments, "exact_moment_choi", counted)
+    decay_experiment(2, 1, [1, 2], 20, np.random.default_rng(5))  # S = 20 >= D = 16
+    decay_experiment(1, 2, [1], 10, np.random.default_rng(5))  # k = 2: every row is D x D
+    assert calls == [(Haar(2), 1), (Haar(1), 2)]
 
 
 def dense_decay_reference(n, k, t_list, samples, rng):
