@@ -22,6 +22,7 @@ import itertools
 import json
 import math
 import os
+import platform
 import sys
 import time
 
@@ -97,11 +98,25 @@ def _record(
         "spec": spec,
         "artifacts": [os.path.basename(p) for p in paths],
         "wall_time_seconds": wall,
-        "numerics": {"numpy": np.__version__, "cpu_count": os.cpu_count()}
+        "numerics": {
+            "numpy": np.__version__,
+            "blas": _blas(),
+            "machine": platform.machine(),
+            "cpu_count": os.cpu_count(),
+        }
         | {var: os.environ.get(var) for var in THREAD_ENV_VARS},
     }
     write(f"{stem}.manifest.json", _json(manifest))
     return paths[-1]
+
+
+def _blas() -> dict | None:
+    """Name and version of the BLAS numpy was built with, as numpy reports
+    them; None when it reports no BLAS."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    if "name" not in blas or "version" not in blas:
+        return None
+    return {"name": blas["name"], "version": blas["version"]}
 
 
 def _parse_list(flag: str, text: str) -> range | list[int]:

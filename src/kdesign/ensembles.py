@@ -27,7 +27,13 @@ import numpy as np
 from .commutant import _clifford_basis, _haar_basis, _incidence
 from .dense import MAX_DENSE_DIM, MAX_DENSE_QUBITS, DenseOperator, haar_unitary, query_output_state
 from .errors import InternalConsistencyError, ValidationError
-from .pauli import MAX_ENUMERATED_QUBITS, cliffords_to_matrices, enumerate_cliffords, random_tableau
+from .pauli import (
+    MAX_ENUMERATED_QUBITS,
+    _tableau_draws,
+    _tableaus,
+    cliffords_to_matrices,
+    enumerate_cliffords,
+)
 
 # complex entries per batch of Choi vectors
 CHUNK_ENTRIES = 1 << 20
@@ -132,8 +138,10 @@ def _samples(spec: EnsembleSpec, size: int, rng: np.random.Generator):
     Samples are drawn one after another, each consuming the stream exactly
     as one call of `sample` does (for Homeopathy: the inner unitary, then
     C2, then C1), so a seeded stream gives the same unitaries batched or
-    not.  The Clifford tableaus of each pass of samples are made dense in
-    one call per register size.
+    not.  A Clifford draw queues its `_tableau_draws`; per register size,
+    the queue of each pass of samples is built into tableaus by one
+    `_tableaus` call and made dense by one `cliffords_to_matrices` call.
+    A pass of uniform Cliffords draws all its tableaus in one call.
     """
     if not isinstance(spec, EnsembleSpec):
         raise ValidationError(f"unknown ensemble spec {spec!r}")
@@ -142,25 +150,30 @@ def _samples(spec: EnsembleSpec, size: int, rng: np.random.Generator):
         raise ValidationError(f"{spec.n_qubits} qubits exceed the dense limit {MAX_DENSE_DIM}")
     per = max(1, _PASS_ENTRIES // (d * d))
     for lo in range(0, size, per):
-        tableaus: dict[int, list] = {}
-        draws = [_draw(spec, rng, tableaus) for _ in range(min(per, size - lo))]
-        dense = {n: cliffords_to_matrices(n, tabs) for n, tabs in tableaus.items()}
+        count = min(per, size - lo)
+        if isinstance(spec, CliffordUniform):
+            rows = _tableau_draws(spec.n, rng, count)
+            yield from cliffords_to_matrices(spec.n, _tableaus(spec.n, rows))
+            continue
+        queues: dict[int, list] = {}
+        draws = [_draw(spec, rng, queues) for _ in range(count)]
+        dense = {n: cliffords_to_matrices(n, _tableaus(n, q)) for n, q in queues.items()}
         for realize in draws:
             yield realize(dense)
 
 
-def _draw(spec: EnsembleSpec, rng: np.random.Generator, tableaus: dict[int, list]):
+def _draw(spec: EnsembleSpec, rng: np.random.Generator, queues: dict[int, list]):
     """Consume one sample's randomness; return a function of the dense
-    Clifford batches that builds it.  Tableaus queue per register size."""
+    Clifford batches that builds it.  Tableau draws queue per register size."""
     if isinstance(spec, CliffordUniform):
-        queue = tableaus.setdefault(spec.n, [])
-        queue.append(random_tableau(spec.n, rng))
+        queue = queues.setdefault(spec.n, [])
+        queue.append(_tableau_draws(spec.n, rng))
         i = len(queue) - 1
         return lambda dense: dense[spec.n][i]
     if isinstance(spec, Homeopathy):
-        inner = _draw(spec.inner, rng, tableaus)
-        c2 = _draw(CliffordUniform(spec.n), rng, tableaus)
-        c1 = _draw(CliffordUniform(spec.n), rng, tableaus)
+        inner = _draw(spec.inner, rng, queues)
+        c2 = _draw(CliffordUniform(spec.n), rng, queues)
+        c1 = _draw(CliffordUniform(spec.n), rng, queues)
         eye = np.eye(1 << (spec.n - spec.t))
         return lambda dense: c1(dense) @ np.kron(eye, inner(dense)) @ c2(dense)
     u = sample(spec, rng)

@@ -335,28 +335,57 @@ def _find_transvections(x: int, y: int, nn: int) -> tuple[int, int]:
     return x ^ z, y ^ z
 
 
-def _random_symplectic_ds(n: int, rng: np.random.Generator) -> list[int]:
+@lru_cache(maxsize=None)
+def _draw_bounds(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """[low, high) of each draw of one uniform tableau, in stream order: per
+    level m = n..1, outermost first, f1 in [1, 4^m) and then the 2m - 1
+    completion bits; last the 2n sign bits as one int in [0, 4^n).  Level m
+    starts at index n(n + 1) - m(m + 1)."""
+    low, high = [], []
+    for m in range(n, 0, -1):
+        low += [1] + [0] * (2 * m - 1)
+        high += [1 << 2 * m] + [2] * (2 * m - 1)
+    bounds = np.array(low + [0]), np.array(high + [1 << 2 * n])
+    for a in bounds:  # shared by every call
+        a.flags.writeable = False
+    return bounds
+
+
+def _tableau_draws(n: int, rng: np.random.Generator, count: int = 1) -> np.ndarray:
+    """The randomness of `count` uniform tableaus, one after another, as a
+    (count, n(n + 1) + 1) int64 array: a row is the draws of `_draw_bounds`.
+
+    One `rng.integers` call over the bounds broadcast to that shape.  Each
+    entry makes its own bounded draw, as a call for that entry alone would,
+    so the values and the generator's final state are those of drawing the
+    entries one by one, in row order.
+    """
+    low, high = _draw_bounds(n)
+    # numpy's path for bounds with no size is the faster one for one row
+    size = (count, len(low)) if count > 1 else None
+    return rng.integers(low, high, size=size).reshape(count, -1)
+
+
+def _random_symplectic_ds(n: int, draws: list[int]) -> list[int]:
     """Uniformly random element of Sp(2n, F_2), rows in directsum layout.
 
     Row-by-row: pick the image of the first basis vector uniformly among
     nonzero vectors, complete it to a symplectic pair uniformly among the
     2^(2n-1) partners, then recurse on the complement via transvections.
-    All levels draw first, outermost first; the rows are then built from
-    the innermost level out.
+    The rows are built from the innermost level of `_tableau_draws` out.
     """
-    draws = []
-    for m in range(n, 0, -1):
-        nn = 2 * m
-        f1 = int(rng.integers(1, 1 << nn))
-        draws.append((nn, f1, rng.integers(0, 2, size=nn - 1).tolist()))
     rows: list[int] = []
-    for nn, f1, bits in reversed(draws):
+    off = n * (n + 1)
+    for m in range(1, n + 1):
+        nn = 2 * m
+        off -= nn
+        f1 = draws[off]
         t0, t1 = _find_transvections(1, f1, nn)
         eprime = 1
         for j in range(2, nn):
-            eprime |= bits[j - 1] << j
+            eprime |= draws[off + j] << j
         (h0,) = _transvect(t1, _transvect(t0, [eprime], nn), nn)
-        if bits[0]:
+        if draws[off + 1]:
             f1 = 0
         rows = [1, 2] + [r << 2 for r in rows]
         for h in (t0, t1, h0, f1):
@@ -364,24 +393,114 @@ def _random_symplectic_ds(n: int, rng: np.random.Generator) -> list[int]:
     return rows
 
 
+@lru_cache(maxsize=None)
+def _std_positions(n: int) -> tuple[int, ...]:
+    """The x|z position of each directsum position: 2q -> x_q (= q) and
+    2q+1 -> z_q (= n+q)."""
+    return tuple(i // 2 + (i & 1) * n for i in range(2 * n))
+
+
 def random_tableau(n: int, rng: np.random.Generator) -> tuple[int, ...]:
     """Exactly uniform Clifford in the array form of `CliffordOp.tableau`.
 
-    Uniform symplectic part, then uniform signs.  The transvection
-    construction is symplectic by construction, so nothing is validated.
+    Uniform symplectic part, then uniform signs, built on Python ints from
+    one row of `_tableau_draws`.  This is the single-draw path and the
+    bit-for-bit oracle of `_tableaus`, which builds many rows at once.  The
+    transvection construction is symplectic by construction, so nothing is
+    validated.
     """
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
-    nn = 2 * n
-    # directsum position 2q -> x_q (= q), 2q+1 -> z_q (= n+q)
-    std = [i // 2 + (i & 1) * n for i in range(nn)]
-    images = [0] * nn
+    draws = _tableau_draws(n, rng)[0].tolist()
+    std = _std_positions(n)
+    images = [0] * (2 * n)
     # image j is column j of the row matrix, both indices in the x|z layout
-    for i, r in enumerate(_random_symplectic_ds(n, rng)):
-        for j in range(nn):
-            if (r >> j) & 1:
-                images[std[j]] |= 1 << std[i]
-    return (*images, int(rng.integers(0, 1 << nn)))
+    for si, r in zip(std, _random_symplectic_ds(n, draws)):
+        while r:
+            low = r & -r
+            images[std[low.bit_length() - 1]] |= 1 << si
+            r ^= low
+    return (*images, draws[-1])
+
+
+@lru_cache(maxsize=None)
+def _tableau_layout(n: int):
+    """The fixed index arrays of `_tableaus` at n qubits: the f1 column of
+    each level in a row of `_tableau_draws`, the weights that sum its
+    completion bits 1.. into e' at positions 2.., each level's shift into
+    the 2n-bit register, and the x|z position of each directsum position."""
+    ms = np.arange(1, n + 1)
+    offs = n * (n + 1) - ms * (ms + 1)
+    weights = np.zeros((n * (n + 1) + 1, n), dtype=np.uint64)
+    for m, off in zip(ms, offs):
+        weights[off + 2 : off + 2 * m, m - 1] = 1 << np.arange(2, 2 * m, dtype=np.uint64)
+    layout = offs, weights, (2 * (n - ms)).astype(np.uint64)[:, None], np.array(_std_positions(n))
+    for a in layout:  # shared by every call
+        a.flags.writeable = False
+    return layout
+
+
+def _tableaus(n: int, draws) -> np.ndarray:
+    """The tableaus of `random_tableau` for m rows of `_tableau_draws`, as an
+    (m, 2n + 1) int64 array: the same construction, vectorized over the rows.
+
+    Bit vectors are uint64 and symplectic parities are bit counts.  The
+    transvections of level m, shifted up by 2(n - m) bits, fix the rows
+    that the levels outside it add at the bottom.  So the rows are the
+    identity taken through each level's map (its four transvections),
+    innermost level first, and the maps of all levels are built at once.
+    """
+    nn = 2 * n
+    d = np.asarray(draws, dtype=np.uint64).reshape(-1, n * (n + 1) + 1)
+    offs, weights, shift, std = _tableau_layout(n)
+    one, three = np.uint64(1), np.uint64(3)
+    even = np.uint64(((1 << nn) - 1) // 3)
+    basis = np.arange(nn, dtype=np.uint64)
+
+    def partner(h):
+        return ((h & even) << one) | ((h >> one) & even)
+
+    def transvect(h, hp, vs):
+        vs ^= h * (np.bitwise_count(vs & hp) & 1)
+
+    # _find_transvections(1, y, nn) for each level's f1 = y, by its cases:
+    # y = e1 gives (0, 0); an odd product with e1 gives (y + e1, 0); else
+    # (e1 + z, y + z) with z = 3 on pair 0 and, when y leaves pair 0 empty,
+    # v on y's lowest nonzero pair: v = 1 where that pair holds 3, else 3
+    y = d[:, offs]
+    low = y & ~three
+    low = (low | low >> one) & even
+    low &= -low  # its lowest set bit; the negation wraps mod 2^64
+    vlow = (three * low) ^ ((y & (y >> one) & low) << one)
+    z = three ^ np.where(y & three, 0, vlow)
+    odd, not_e1 = (y >> one) & one, y != one
+    hs = np.zeros((len(d), n, 4), dtype=np.uint64)
+    hs[..., 0] = np.where(odd, y ^ one, one ^ z) * not_e1
+    hs[..., 1] = np.where(odd, 0, y ^ z) * not_e1
+    hps = partner(hs)
+    # h0 = Z_t1 Z_t0 e'
+    h0 = one + d @ weights
+    for k in (0, 1):
+        transvect(hs[..., k], hps[..., k], h0)
+    hs[..., 2] = h0
+    hs[..., 3] = np.where(d[:, offs + 1], 0, y)
+    hps[..., 2:] = partner(hs[..., 2:])
+    hs, hps = hs << shift, hps << shift
+    # maps[:, m - 1, b]: the image of e_b under level m
+    maps = np.empty((len(d), n, nn), dtype=np.uint64)
+    maps[...] = one << basis
+    for k in range(4):
+        transvect(hs[..., k, None], hps[..., k, None], maps)
+    # a row through a map: the XOR of the images of its bits
+    rows = maps[:, 0]
+    for level in range(1, n):
+        bits = (rows[:, None, :] >> basis[:, None]) & one
+        rows = np.bitwise_xor.reduce(bits * maps[:, level, :, None], axis=1)
+    # image j is column j of the row matrix, both indices in the x|z layout
+    out = np.empty((len(d), nn + 1), dtype=np.int64)
+    out[:, std] = (one << std.astype(np.uint64)) @ ((rows[:, :, None] >> basis) & one)
+    out[:, nn] = d[:, -1]
+    return out
 
 
 def random_clifford(n: int, rng: np.random.Generator) -> CliffordOp:

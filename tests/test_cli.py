@@ -10,6 +10,7 @@ import io
 import itertools
 import json
 import pkgutil
+import platform
 import re
 import shlex
 import tempfile
@@ -151,9 +152,17 @@ def test_manifest_contents(tmp_path, monkeypatch):
     assert doc["wall_time_seconds"] >= 0
     assert isinstance(doc["tool_version"], str)
     numerics = doc["numerics"]
-    assert set(numerics) == {"numpy", "cpu_count", *cli.THREAD_ENV_VARS}
+    assert set(numerics) == {"numpy", "blas", "machine", "cpu_count", *cli.THREAD_ENV_VARS}
     assert numerics["numpy"] == np.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert numerics["blas"] == {"name": blas["name"], "version": blas["version"]}
+    assert numerics["machine"] == platform.machine()
     assert numerics["OMP_NUM_THREADS"] == "3" and numerics["MKL_NUM_THREADS"] is None
+    # a numpy that reports no BLAS records null
+    monkeypatch.setattr(np, "show_config", lambda mode: {})
+    assert run(["vandermonde", "--k", "3", "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "vandermonde_k3.manifest.json").read_text())
+    assert doc["numerics"]["blas"] is None
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch):

@@ -245,22 +245,26 @@ def test_fuzzed_config_round_trips_or_is_validation_error(cfg):
 # batching keeps the per-sample stream
 
 
+BATCH_CASES = [
+    (CliffordUniform(1), 20),
+    (CliffordUniform(3), 20),
+    (Haar(2), 20),
+    (Homeopathy(3, 1, Haar(1)), 20),
+    (Homeopathy(2, 2, CliffordUniform(2)), 20),
+    (Homeopathy(3, 2, Homeopathy(2, 1, CliffordEnumerated(1))), 20),
+    (Homeopathy(5, 1, Haar(1)), 20),  # 20 samples span two conversion passes
+    (CliffordUniform(2), 1030),  # two passes of 1024
+    (CliffordUniform(7), 3),  # one sample per pass
+]
+
+
 @pytest.mark.parametrize(
-    "spec",
-    [
-        CliffordUniform(1),
-        CliffordUniform(3),
-        Haar(2),
-        Homeopathy(3, 1, Haar(1)),
-        Homeopathy(2, 2, CliffordUniform(2)),
-        Homeopathy(3, 2, Homeopathy(2, 1, CliffordEnumerated(1))),
-        Homeopathy(5, 1, Haar(1)),  # 20 samples span two conversion passes
-    ],
+    "spec, size", BATCH_CASES, ids=[f"spec{i}" for i in range(len(BATCH_CASES))]
 )
-def test_batch_is_bit_identical_to_sequential_samples(spec):
+def test_batch_is_bit_identical_to_sequential_samples(spec, size):
     batched, sequential = np.random.default_rng(61), np.random.default_rng(61)
-    us = np.stack(list(_samples(spec, 20, batched)))
-    one_by_one = np.stack([sample(spec, sequential) for _ in range(20)])
+    us = np.stack(list(_samples(spec, size, batched)))
+    one_by_one = np.stack([sample(spec, sequential) for _ in range(size)])
     assert us.tobytes() == one_by_one.tobytes()
     assert batched.bit_generator.state == sequential.bit_generator.state
 

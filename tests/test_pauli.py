@@ -20,6 +20,8 @@ from kdesign.pauli import (
     _find_transvections,
     _fwht,
     _sp_ds,
+    _tableau_draws,
+    _tableaus,
     apply_pauli,
     chi,
     clifford_compose,
@@ -340,6 +342,60 @@ def test_random_clifford_image_marginal_n2():
         counts[k] = counts.get(k, 0) + 1
     assert len(counts) == 30
     assert stats.chisquare(list(counts.values())).pvalue > 1e-3
+
+
+def calls_one_by_one(n: int, rng: np.random.Generator) -> list[int]:
+    """One tableau's draws as separate calls, level by level."""
+    draws = []
+    for m in range(n, 0, -1):
+        draws.append(int(rng.integers(1, 1 << 2 * m)))
+        draws += rng.integers(0, 2, size=2 * m - 1).tolist()
+    return draws + [int(rng.integers(0, 1 << 2 * n))]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 16, 17, 20])
+def test_tableau_draws_equal_the_calls_one_by_one(n):
+    """One broadcast call draws what the separate calls draw, and leaves the
+    generator where they do, with 32- and 64-bit ranges (n > 16)."""
+    for count in (1, 3):
+        bulk, ref = np.random.default_rng(97 + n), np.random.default_rng(97 + n)
+        draws = _tableau_draws(n, bulk, count)
+        assert draws.shape == (count, n * (n + 1) + 1)
+        assert draws.tolist() == [calls_one_by_one(n, ref) for _ in range(count)]
+        assert bulk.bit_generator.state == ref.bit_generator.state
+
+
+def transvection_case(y: int, nn: int) -> str:
+    """The branch of _find_transvections(1, y, nn) that y takes."""
+    if y == 1:
+        return "y = e1"
+    if _sp_ds(1, y, nn):
+        return "odd product"
+    return "shared pair 0" if y & 3 else "no shared pair"
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_tableau_kernel_equals_the_scalar_construction(n):
+    """_tableaus on m rows of _tableau_draws gives the tableaus of m
+    random_tableau calls bit for bit and leaves the generator where they
+    do, through every branch of the search for the transvections taking
+    e1 to f1."""
+    cases = set()
+    for m in (1, 2, 16, 1024) if n <= 3 else (1, 2, 16):
+        ref, rng = np.random.default_rng(89 + m), np.random.default_rng(89 + m)
+        expected = [random_tableau(n, ref) for _ in range(m)]
+        draws = _tableau_draws(n, rng, m)
+        got = _tableaus(n, draws)
+        assert got.dtype == np.int64 and got.shape == (m, 2 * n + 1)
+        assert [tuple(t) for t in got.tolist()] == expected
+        assert rng.bit_generator.state == ref.bit_generator.state
+        for row in draws.tolist():
+            for level in range(1, n + 1):
+                cases.add(transvection_case(row[n * (n + 1) - level * (level + 1)], 2 * level))
+    # one qubit has no pair beyond pair 0
+    assert cases == {"y = e1", "odd product"} | (
+        {"shared pair 0", "no shared pair"} if n > 1 else set()
+    )
 
 
 # Two seed-0 draws per n as (images, signs), and the stream's next
