@@ -39,8 +39,8 @@ from .pauli import (
     StabilizerGroup,
     clifford_conjugate,
     clifford_inverse,
-    clifford_to_matrix,
-    random_clifford,
+    cliffords_to_matrices,
+    random_tableau,
 )
 
 
@@ -53,7 +53,7 @@ def make_compressible(n: int, t: int, rng: np.random.Generator) -> StateVector:
         low = haar_state(t, rng).amplitudes
     full = np.zeros(1 << n, dtype=complex)
     full[: 1 << t] = low
-    c = clifford_to_matrix(random_clifford(n, rng))
+    c = cliffords_to_matrices(n, [random_tableau(n, rng)])[0]
     return StateVector(n, c @ full)
 
 

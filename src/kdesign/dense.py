@@ -185,20 +185,16 @@ def flat_index_to_pauli(f: int, n: int) -> PauliString:
     return PauliString(n, (f >> n) & ((1 << n) - 1), f & ((1 << n) - 1), 0)
 
 
-def bell_difference_sample(
-    psi, rng: np.random.Generator, table: np.ndarray | None = None
-) -> PauliString:
+def bell_difference_sample(psi, rng: np.random.Generator) -> PauliString:
     """One phaseless Pauli from the operational procedure: two independent
     Bell-basis measurements on psi x psi, outcomes multiplied.
 
     This is the measurement oracle for bell_difference_table, from which the
-    attack draws directly.  A precomputed Bell table of psi skips the
-    per-call transform.
+    attack draws directly.
     """
     amps = _amps(psi)
     n = _qubit_count(amps)
-    t = bell_table(amps) if table is None else table
-    f1, f2 = (int(v) for v in draw_from_table(t, rng, 2))
+    f1, f2 = (int(v) for v in draw_from_table(bell_table(amps), rng, 2))
     return flat_index_to_pauli(f1 ^ f2, n)
 
 

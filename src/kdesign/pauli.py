@@ -271,68 +271,7 @@ def clifford_inverse(c: CliffordOp) -> CliffordOp:
 
 
 # ---------------------------------------------------------------------------
-# uniform sampling (transvection construction, directsum layout internally)
-
-
-def _ds_partner(h: int, nn: int) -> int:
-    """h with each (2i, 2i+1) pair swapped: v . partner(h) = <v, h> (mod 2)."""
-    even = ((1 << nn) - 1) // 3
-    return ((h & even) << 1) | ((h >> 1) & even)
-
-
-def _sp_ds(u: int, v: int, nn: int) -> int:
-    """Symplectic product in the (2i, 2i+1)-paired layout."""
-    return (u & _ds_partner(v, nn)).bit_count() & 1
-
-
-def _transvect(h: int, vs: list[int], nn: int) -> list[int]:
-    """Z_h(v) = v + <v,h> h for each v in vs."""
-    if not h:
-        return vs
-    hp = _ds_partner(h, nn)
-    return [v ^ h if (v & hp).bit_count() & 1 else v for v in vs]
-
-
-def _anticommuting_pair_value(a: int) -> int:
-    """A 2-bit local value with odd symplectic pairing against local value a."""
-    if a == 0:
-        raise InternalConsistencyError("no local value anticommutes with identity")
-    return 3 if a in (1, 2) else 1
-
-
-def _find_transvections(x: int, y: int, nn: int) -> tuple[int, int]:
-    """h0, h1 with y = Z_h1 Z_h0 x, for nonzero x and y.
-
-    Uses that two distinct nonzero local pair values always anticommute, so a
-    single-pair bridge works whenever x and y share support; otherwise bridge
-    through one supported pair of each.
-    """
-    if x == y:
-        return 0, 0
-    if _sp_ds(x, y, nn) == 1:
-        return x ^ y, 0
-
-    def pair(v: int, i: int) -> int:
-        return (v >> (2 * i)) & 3
-
-    for i in range(nn // 2):
-        a, b = pair(x, i), pair(y, i)
-        if a and b:
-            zz = (a ^ b) or _anticommuting_pair_value(a)
-            z = zz << (2 * i)
-            return x ^ z, y ^ z
-    z = 0
-    for i in range(nn // 2):
-        a, b = pair(x, i), pair(y, i)
-        if a and not b:
-            z |= _anticommuting_pair_value(a) << (2 * i)
-            break
-    for i in range(nn // 2):
-        a, b = pair(x, i), pair(y, i)
-        if b and not a:
-            z |= _anticommuting_pair_value(b) << (2 * i)
-            break
-    return x ^ z, y ^ z
+# uniform sampling (Koenig–Smolin transvections, vectorized over rows of draws)
 
 
 @lru_cache(maxsize=None)
@@ -340,7 +279,13 @@ def _draw_bounds(n: int) -> tuple[np.ndarray, np.ndarray]:
     """[low, high) of each draw of one uniform tableau, in stream order: per
     level m = n..1, outermost first, f1 in [1, 4^m) and then the 2m - 1
     completion bits; last the 2n sign bits as one int in [0, 4^n).  Level m
-    starts at index n(n + 1) - m(m + 1)."""
+    starts at index n(n + 1) - m(m + 1).
+
+    Raises ValidationError unless 1 <= n <= 31, the widest register whose
+    4^n bound fits int64; this is the register check of every sampler.
+    """
+    if not 1 <= n <= 31:
+        raise ValidationError(f"uniform tableaus need 1 <= n <= 31, got n={n}")
     low, high = [], []
     for m in range(n, 0, -1):
         low += [1] + [0] * (2 * m - 1)
@@ -366,83 +311,36 @@ def _tableau_draws(n: int, rng: np.random.Generator, count: int = 1) -> np.ndarr
     return rng.integers(low, high, size=size).reshape(count, -1)
 
 
-def _random_symplectic_ds(n: int, draws: list[int]) -> list[int]:
-    """Uniformly random element of Sp(2n, F_2), rows in directsum layout.
-
-    Row-by-row: pick the image of the first basis vector uniformly among
-    nonzero vectors, complete it to a symplectic pair uniformly among the
-    2^(2n-1) partners, then recurse on the complement via transvections.
-    The rows are built from the innermost level of `_tableau_draws` out.
-    """
-    rows: list[int] = []
-    off = n * (n + 1)
-    for m in range(1, n + 1):
-        nn = 2 * m
-        off -= nn
-        f1 = draws[off]
-        t0, t1 = _find_transvections(1, f1, nn)
-        eprime = 1
-        for j in range(2, nn):
-            eprime |= draws[off + j] << j
-        (h0,) = _transvect(t1, _transvect(t0, [eprime], nn), nn)
-        if draws[off + 1]:
-            f1 = 0
-        rows = [1, 2] + [r << 2 for r in rows]
-        for h in (t0, t1, h0, f1):
-            rows = _transvect(h, rows, nn)
-    return rows
-
-
-@lru_cache(maxsize=None)
-def _std_positions(n: int) -> tuple[int, ...]:
-    """The x|z position of each directsum position: 2q -> x_q (= q) and
-    2q+1 -> z_q (= n+q)."""
-    return tuple(i // 2 + (i & 1) * n for i in range(2 * n))
-
-
-def random_tableau(n: int, rng: np.random.Generator) -> tuple[int, ...]:
-    """Exactly uniform Clifford in the array form of `CliffordOp.tableau`.
-
-    Uniform symplectic part, then uniform signs, built on Python ints from
-    one row of `_tableau_draws`.  This is the single-draw path and the
-    bit-for-bit oracle of `_tableaus`, which builds many rows at once.  The
-    transvection construction is symplectic by construction, so nothing is
-    validated.
-    """
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got {n}")
-    draws = _tableau_draws(n, rng)[0].tolist()
-    std = _std_positions(n)
-    images = [0] * (2 * n)
-    # image j is column j of the row matrix, both indices in the x|z layout
-    for si, r in zip(std, _random_symplectic_ds(n, draws)):
-        while r:
-            low = r & -r
-            images[std[low.bit_length() - 1]] |= 1 << si
-            r ^= low
-    return (*images, draws[-1])
-
-
 @lru_cache(maxsize=None)
 def _tableau_layout(n: int):
     """The fixed index arrays of `_tableaus` at n qubits: the f1 column of
     each level in a row of `_tableau_draws`, the weights that sum its
     completion bits 1.. into e' at positions 2.., each level's shift into
     the 2n-bit register, and the x|z position of each directsum position."""
-    ms = np.arange(1, n + 1)
+    ms, pos = np.arange(1, n + 1), np.arange(2 * n)
     offs = n * (n + 1) - ms * (ms + 1)
     weights = np.zeros((n * (n + 1) + 1, n), dtype=np.uint64)
     for m, off in zip(ms, offs):
         weights[off + 2 : off + 2 * m, m - 1] = 1 << np.arange(2, 2 * m, dtype=np.uint64)
-    layout = offs, weights, (2 * (n - ms)).astype(np.uint64)[:, None], np.array(_std_positions(n))
+    std = pos // 2 + (pos & 1) * n  # 2q -> x_q (= q), 2q + 1 -> z_q (= n + q)
+    layout = offs, weights, (2 * (n - ms)).astype(np.uint64)[:, None], std
     for a in layout:  # shared by every call
         a.flags.writeable = False
     return layout
 
 
 def _tableaus(n: int, draws) -> np.ndarray:
-    """The tableaus of `random_tableau` for m rows of `_tableau_draws`, as an
-    (m, 2n + 1) int64 array: the same construction, vectorized over the rows.
+    """Exactly uniform tableaus, in the array form of `CliffordOp.tableau`,
+    for m rows of `_tableau_draws`, as an (m, 2n + 1) int64 array.
+
+    The Koenig–Smolin transvection construction (arXiv:1406.2170), in the
+    directsum layout that puts qubit q's x and z bits at positions 2q and
+    2q + 1.  Level m of the 2m-bit register takes e1 to its draw f1, a
+    uniform nonzero vector, by two transvections; its completion bits pick
+    e1's partner uniformly among the 2^(2m - 1) vectors pairing oddly with
+    f1; and the levels inside it, on the bits above its first pair, go
+    through the same map.  The signs are the row's last draw, uniform.  The
+    result is symplectic by construction, so nothing is validated.
 
     Bit vectors are uint64 and symplectic parities are bit counts.  The
     transvections of level m, shifted up by 2(n - m) bits, fix the rows
@@ -463,7 +361,7 @@ def _tableaus(n: int, draws) -> np.ndarray:
     def transvect(h, hp, vs):
         vs ^= h * (np.bitwise_count(vs & hp) & 1)
 
-    # _find_transvections(1, y, nn) for each level's f1 = y, by its cases:
+    # the two transvections taking e1 to each level's f1 = y, by cases:
     # y = e1 gives (0, 0); an odd product with e1 gives (y + e1, 0); else
     # (e1 + z, y + z) with z = 3 on pair 0 and, when y leaves pair 0 empty,
     # v on y's lowest nonzero pair: v = 1 where that pair holds 3, else 3
@@ -501,6 +399,12 @@ def _tableaus(n: int, draws) -> np.ndarray:
     out[:, std] = (one << std.astype(np.uint64)) @ ((rows[:, :, None] >> basis) & one)
     out[:, nn] = d[:, -1]
     return out
+
+
+def random_tableau(n: int, rng: np.random.Generator) -> tuple[int, ...]:
+    """Exactly uniform Clifford in the array form of `CliffordOp.tableau`:
+    one row of `_tableaus`."""
+    return tuple(_tableaus(n, _tableau_draws(n, rng))[0].tolist())
 
 
 def random_clifford(n: int, rng: np.random.Generator) -> CliffordOp:

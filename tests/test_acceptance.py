@@ -180,7 +180,7 @@ def test_06_bell_difference_sampling_matches_the_convolution_table():
         assert exact_gap <= 1e-10, f"convolution identity off by {exact_gap:.3e}"
         counts = np.zeros(64)
         for _ in range(10000):
-            s = bell_difference_sample(psi, rng, table=q)
+            s = bell_difference_sample(psi, rng)
             counts[(s.x << 3) | s.z] += 1
         tv = 0.5 * float(np.abs(counts / 10000 - pp.reshape(-1)).sum())
         assert tv <= 0.05, f"TV distance {tv:.4f}"

@@ -186,12 +186,11 @@ def test_bell_difference_paths_agree():
     rng = np.random.default_rng(13)
     n, m = 3, 10_000
     psi = haar_state(n, rng)
-    qt = bell_table(psi)
     dt = bell_difference_table(psi)
     exact = dt.reshape(-1)
     # the measurement oracle, then the attack's direct draw from the table
     draws = {
-        "measure": lambda: bell_difference_sample(psi, rng, table=qt),
+        "measure": lambda: bell_difference_sample(psi, rng),
         "table": lambda: flat_index_to_pauli(int(draw_from_table(dt, rng, 1)[0]), n),
     }
     for path, draw in draws.items():

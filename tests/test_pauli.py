@@ -11,15 +11,13 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from kdesign.attack import make_compressible
-from kdesign.errors import ValidationError
+from kdesign.errors import InternalConsistencyError, ValidationError
 from kdesign.f2 import rref_basis, symplectic_product
 from kdesign.pauli import (
     CliffordOp,
     PauliString,
     StabilizerGroup,
-    _find_transvections,
     _fwht,
-    _sp_ds,
     _tableau_draws,
     _tableaus,
     apply_pauli,
@@ -304,6 +302,114 @@ def test_one_flipped_image_bit_is_rejected_unless_still_symplectic(n):
 
 
 # ---------------------------------------------------------------------------
+# the scalar transvection construction on Python ints, directsum layout
+# internally: the bit-for-bit oracle of pauli._tableaus
+
+
+def _ds_partner(h: int, nn: int) -> int:
+    """h with each (2i, 2i+1) pair swapped: v . partner(h) = <v, h> (mod 2)."""
+    even = ((1 << nn) - 1) // 3
+    return ((h & even) << 1) | ((h >> 1) & even)
+
+
+def _sp_ds(u: int, v: int, nn: int) -> int:
+    """Symplectic product in the (2i, 2i+1)-paired layout."""
+    return (u & _ds_partner(v, nn)).bit_count() & 1
+
+
+def _transvect(h: int, vs: list[int], nn: int) -> list[int]:
+    """Z_h(v) = v + <v,h> h for each v in vs."""
+    if not h:
+        return vs
+    hp = _ds_partner(h, nn)
+    return [v ^ h if (v & hp).bit_count() & 1 else v for v in vs]
+
+
+def _anticommuting_pair_value(a: int) -> int:
+    """A 2-bit local value with odd symplectic pairing against local value a."""
+    if a == 0:
+        raise InternalConsistencyError("no local value anticommutes with identity")
+    return 3 if a in (1, 2) else 1
+
+
+def _find_transvections(x: int, y: int, nn: int) -> tuple[int, int]:
+    """h0, h1 with y = Z_h1 Z_h0 x, for nonzero x and y.
+
+    Uses that two distinct nonzero local pair values always anticommute, so a
+    single-pair bridge works whenever x and y share support; otherwise bridge
+    through one supported pair of each.
+    """
+    if x == y:
+        return 0, 0
+    if _sp_ds(x, y, nn) == 1:
+        return x ^ y, 0
+
+    def pair(v: int, i: int) -> int:
+        return (v >> (2 * i)) & 3
+
+    for i in range(nn // 2):
+        a, b = pair(x, i), pair(y, i)
+        if a and b:
+            zz = (a ^ b) or _anticommuting_pair_value(a)
+            z = zz << (2 * i)
+            return x ^ z, y ^ z
+    z = 0
+    for i in range(nn // 2):
+        a, b = pair(x, i), pair(y, i)
+        if a and not b:
+            z |= _anticommuting_pair_value(a) << (2 * i)
+            break
+    for i in range(nn // 2):
+        a, b = pair(x, i), pair(y, i)
+        if b and not a:
+            z |= _anticommuting_pair_value(b) << (2 * i)
+            break
+    return x ^ z, y ^ z
+
+
+def _random_symplectic_ds(n: int, draws: list[int]) -> list[int]:
+    """Uniformly random element of Sp(2n, F_2), rows in directsum layout.
+
+    Row-by-row: pick the image of the first basis vector uniformly among
+    nonzero vectors, complete it to a symplectic pair uniformly among the
+    2^(2n-1) partners, then recurse on the complement via transvections.
+    The rows are built from the innermost level of `_tableau_draws` out.
+    """
+    rows: list[int] = []
+    off = n * (n + 1)
+    for m in range(1, n + 1):
+        nn = 2 * m
+        off -= nn
+        f1 = draws[off]
+        t0, t1 = _find_transvections(1, f1, nn)
+        eprime = 1
+        for j in range(2, nn):
+            eprime |= draws[off + j] << j
+        (h0,) = _transvect(t1, _transvect(t0, [eprime], nn), nn)
+        if draws[off + 1]:
+            f1 = 0
+        rows = [1, 2] + [r << 2 for r in rows]
+        for h in (t0, t1, h0, f1):
+            rows = _transvect(h, rows, nn)
+    return rows
+
+
+def scalar_tableau(n: int, rng: np.random.Generator) -> tuple[int, ...]:
+    """One uniform tableau built on Python ints from one row of
+    `_tableau_draws`, in the array form of `CliffordOp.tableau`."""
+    draws = _tableau_draws(n, rng)[0].tolist()
+    std = [i // 2 + (i & 1) * n for i in range(2 * n)]  # directsum -> x|z
+    images = [0] * (2 * n)
+    # image j is column j of the row matrix, both indices in the x|z layout
+    for si, r in zip(std, _random_symplectic_ds(n, draws)):
+        while r:
+            low = r & -r
+            images[std[low.bit_length() - 1]] |= 1 << si
+            r ^= low
+    return (*images, draws[-1])
+
+
+# ---------------------------------------------------------------------------
 # sampler internals and uniformity
 
 
@@ -321,27 +427,27 @@ def test_transvections_map_x_to_y(n, data):
     assert tv(h1, tv(h0, x)) == y
 
 
+# The uniformity tests draw their tableaus in bulk: one _tableau_draws call
+# gives the rows of the random_clifford calls one by one (pinned below).
+
+
 def test_random_clifford_uniform_n1():
     rng = np.random.default_rng(17)
-    counts: dict[CliffordOp, int] = {}
-    for _ in range(100_000):
-        c = random_clifford(1, rng)
-        counts[c] = counts.get(c, 0) + 1
+    rows = _tableaus(1, _tableau_draws(1, rng, 100_000))
+    _, counts = np.unique(rows, axis=0, return_counts=True)
     assert len(counts) == 24
-    res = stats.chisquare(list(counts.values()))
+    res = stats.chisquare(counts)
     assert res.pvalue > 1e-3
 
 
 def test_random_clifford_image_marginal_n2():
     # the image of X_1 must be uniform over the 30 signed nonidentity Paulis
     rng = np.random.default_rng(23)
-    counts: dict[tuple, int] = {}
-    for _ in range(30_000):
-        g = random_clifford(2, rng).x_images[0]
-        k = (g.x, g.z, g.phase)
-        counts[k] = counts.get(k, 0) + 1
+    rows = _tableaus(2, _tableau_draws(2, rng, 30_000))
+    # its bit vector, then its sign bit
+    _, counts = np.unique(rows[:, 0] * 2 + (rows[:, -1] & 1), return_counts=True)
     assert len(counts) == 30
-    assert stats.chisquare(list(counts.values())).pvalue > 1e-3
+    assert stats.chisquare(counts).pvalue > 1e-3
 
 
 def calls_one_by_one(n: int, rng: np.random.Generator) -> list[int]:
@@ -377,13 +483,13 @@ def transvection_case(y: int, nn: int) -> str:
 @pytest.mark.parametrize("n", range(1, 9))
 def test_tableau_kernel_equals_the_scalar_construction(n):
     """_tableaus on m rows of _tableau_draws gives the tableaus of m
-    random_tableau calls bit for bit and leaves the generator where they
+    scalar_tableau calls bit for bit and leaves the generator where they
     do, through every branch of the search for the transvections taking
     e1 to f1."""
     cases = set()
     for m in (1, 2, 16, 1024) if n <= 3 else (1, 2, 16):
         ref, rng = np.random.default_rng(89 + m), np.random.default_rng(89 + m)
-        expected = [random_tableau(n, ref) for _ in range(m)]
+        expected = [scalar_tableau(n, ref) for _ in range(m)]
         draws = _tableau_draws(n, rng, m)
         got = _tableaus(n, draws)
         assert got.dtype == np.int64 and got.shape == (m, 2 * n + 1)
@@ -425,6 +531,26 @@ def test_seed0_tableaus_are_pinned(n):
     assert int(rng.integers(2**30)) == following
     rng = np.random.default_rng(0)
     assert [random_tableau(n, rng) for _ in draws] == [(*i, s) for i, s in draws]
+    rng = np.random.default_rng(0)
+    assert [scalar_tableau(n, rng) for _ in draws] == [(*i, s) for i, s in draws]
+
+
+@pytest.mark.parametrize("n", [24, 30, 31])
+def test_wide_registers_match_the_scalar_construction(n):
+    """Up to n = 31, the widest register whose 4^n sign bound fits int64,
+    random_tableau is the oracle's tableau and leaves the generator where
+    it does."""
+    rng, ref = np.random.default_rng(59 + n), np.random.default_rng(59 + n)
+    assert random_tableau(n, rng) == scalar_tableau(n, ref)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [0, -1, 32])
+def test_register_outside_1_to_31_is_validation_error(n):
+    rng = np.random.default_rng(3)
+    for draw in (random_tableau, random_clifford, _tableau_draws):
+        with pytest.raises(ValidationError, match="1 <= n <= 31"):
+            draw(n, rng)
 
 
 # clifford_inverse(...).tableau of each SEED0_TABLEAUS draw, recorded from
