@@ -121,7 +121,7 @@ def compress(psi: StateVector, group: StabilizerGroup) -> CliffordOp:
     xs = [a for a, _ in free_pairs] + partners
     zs = [b for _, b in free_pairs] + gvecs
     signs = sum((g.phase >> 1) << (2 * n - m + i) for i, g in enumerate(gens))
-    c = clifford_inverse(CliffordOp.from_tableau(n, (*xs, *zs, signs)))
+    c = clifford_inverse(CliffordOp(n, (*xs, *zs, signs)))
     for i, g in enumerate(gens):
         if clifford_conjugate(c, g) != PauliString(n, 0, 1 << (n - m + i)):
             raise InternalConsistencyError("compression does not map generators to +Z")

@@ -49,6 +49,7 @@ MANIFEST_SCHEMA_VERSION = 1
 ATTACK_SCHEMA_VERSION = 1
 LIST_HELP = "a value, a range '1..5' or a list '1,3,5'; one run per value"
 MAX_LIST_RUNS = 1000  # runs one command may start over its list-valued flags
+EPSILON_T = 0.5  # distinguish's threshold, recorded by every run, thresholded or not
 
 # CSV headers, each written once: the artifacts and the --help epilogs use them
 FRAME_POTENTIAL_COLUMNS = "ensemble,n,k,samples,estimate,stderr,seed"
@@ -217,11 +218,18 @@ def _decay(args: argparse.Namespace):
     )
 
 
+def _check_distinguish(args: argparse.Namespace) -> None:
+    check_distinguish_args(args.n, args.t, args.l)
+    if args.epsilon_t is not None and not args.thresholded:
+        raise ValidationError("--epsilon-t sets the threshold of --thresholded runs only")
+
+
 def _distinguish(args: argparse.Namespace):
     rng = np.random.default_rng(args.seed)
     l = args.l if args.l is not None else 3 * args.t + 2
+    eps = EPSILON_T if args.epsilon_t is None else args.epsilon_t
     source_report, haar_report = distinguish_vs_haar(
-        CompressibleSource(args.n, args.t), l, args.epsilon_t, args.trials, rng, args.thresholded
+        CompressibleSource(args.n, args.t), l, eps, args.trials, rng, args.thresholded
     )
     row = AdvantageRow.from_reports(source_report, haar_report)
     summary = {
@@ -229,7 +237,7 @@ def _distinguish(args: argparse.Namespace):
         "n": args.n,
         "trials": args.trials,
         "seed": args.seed,
-        "epsilon_t": args.epsilon_t,
+        "epsilon_t": eps,
         "rows": [dataclasses.asdict(row)],
     }
     return (
@@ -239,7 +247,7 @@ def _distinguish(args: argparse.Namespace):
             "t": args.t,
             "l": l,
             "trials": args.trials,
-            "epsilon_t": args.epsilon_t,
+            "epsilon_t": eps,
             "thresholded": args.thresholded,
         },
         {
@@ -360,14 +368,14 @@ def build_parser() -> argparse.ArgumentParser:
         f"CSV columns (per arm): {TRIAL_COLUMNS}. JSON: advantage row with "
         "means, stderr, l, copies.",
         lists=("t",),
-        check=lambda a: check_distinguish_args(a.n, a.t, a.l),
+        check=_check_distinguish,
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", required=True, help=LIST_HELP)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--l", type=int, help="measurement rounds (default 3t+2)")
-    p.add_argument("--epsilon-t", type=float, default=0.5)
+    p.add_argument("--epsilon-t", type=float, help=f"--thresholded only (default {EPSILON_T})")
     p.add_argument(
         "--thresholded",
         action="store_true",

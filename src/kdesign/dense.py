@@ -14,16 +14,14 @@ import numpy as np
 
 from .errors import InternalConsistencyError, ValidationError
 from .pauli import (
-    MAX_DENSE_QUBITS,
     PauliString,
     _fwht,
     _pauli_table,
     _qubit_count,
     apply_pauli,
+    check_dense,
     pauli_expectations_all,
 )
-
-MAX_DENSE_DIM = 1 << MAX_DENSE_QUBITS
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,9 +32,8 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
+        check_dense(self.n)
         d = 1 << self.n
-        if d > MAX_DENSE_DIM:
-            raise ValidationError(f"n={self.n} exceeds the dense limit of {MAX_DENSE_QUBITS} qubits")
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (d,):
             raise ValidationError(f"expected {d} amplitudes, got shape {amps.shape}")
@@ -46,6 +43,7 @@ class StateVector:
 
     @classmethod
     def basis(cls, n: int, index: int = 0) -> "StateVector":
+        check_dense(n)
         amps = np.zeros(1 << n, dtype=complex)
         amps[index] = 1.0
         return cls(n, amps)
@@ -59,8 +57,7 @@ class DenseOperator:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.dim > MAX_DENSE_DIM:
-            raise ValidationError(f"dimension {self.dim} exceeds the dense limit {MAX_DENSE_DIM}")
+        check_dense(dim=self.dim)
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (self.dim, self.dim):
             raise ValidationError(f"expected a {self.dim}x{self.dim} matrix, got {m.shape}")
@@ -82,8 +79,7 @@ def _amps(psi) -> np.ndarray:
 
 def haar_state(n: int, rng: np.random.Generator) -> StateVector:
     """Exactly Haar-distributed pure state (normalized complex Gaussian)."""
-    if n < 1 or (1 << n) > MAX_DENSE_DIM:
-        raise ValidationError(f"need 1 <= n <= {MAX_DENSE_QUBITS}, got {n}")
+    check_dense(n)
     d = 1 << n
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
     return StateVector(n, v / np.linalg.norm(v))
@@ -95,8 +91,7 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     The diagonal of R is rotated onto the positive axis, which removes the
     QR gauge freedom and makes the distribution exactly invariant.
     """
-    if d < 1 or d > MAX_DENSE_DIM:
-        raise ValidationError(f"need 1 <= d <= {MAX_DENSE_DIM}, got {d}")
+    check_dense(dim=d)
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(g)
     ph = np.diagonal(r).copy()
@@ -125,9 +120,7 @@ def expectation(psi, p: PauliString) -> float:
 def pauli_distribution(psi) -> np.ndarray:
     """Characteristic distribution: table of tr^2(P psi)/d over all P."""
     amps = _amps(psi)
-    n = _qubit_count(amps)
-    exps = pauli_expectations_all(amps, n)
-    table = exps**2 / (1 << n)
+    table = pauli_expectations_all(amps) ** 2 / len(amps)
     total = float(table.sum())
     if abs(total - 1.0) > 1e-9:
         raise InternalConsistencyError(f"pure-state Pauli distribution sums to {total}")
@@ -220,8 +213,7 @@ def query_output_state(u: np.ndarray, vs: list[np.ndarray]) -> np.ndarray:
     if not vs:
         raise ValidationError("need at least one query operator")
     d = vs[0].shape[0]
-    if d > MAX_DENSE_DIM:
-        raise ValidationError("register exceeds the dense limit")
+    check_dense(dim=d)
     for v in vs:
         if v.shape != (d, d):
             raise ValidationError("query operators must all act on the full register")

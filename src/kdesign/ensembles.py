@@ -25,12 +25,13 @@ from typing import Union
 import numpy as np
 
 from .commutant import _clifford_basis, _haar_basis, _incidence
-from .dense import MAX_DENSE_DIM, MAX_DENSE_QUBITS, DenseOperator, haar_unitary, query_output_state
+from .dense import DenseOperator, haar_unitary, query_output_state
 from .errors import InternalConsistencyError, ValidationError
 from .pauli import (
     MAX_ENUMERATED_QUBITS,
     _tableau_draws,
     _tableaus,
+    check_dense,
     cliffords_to_matrices,
     enumerate_cliffords,
 )
@@ -125,6 +126,7 @@ def _dense_clifford_group(n: int) -> tuple[DenseOperator, ...]:
 def sample(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:
     """One unitary drawn from the spec's distribution, as a (d, d) array."""
     if isinstance(spec, Haar):
+        check_dense(spec.n)
         return haar_unitary(1 << spec.n, rng)
     if isinstance(spec, (CliffordEnumerated, FixedList)):
         els = enumerate_unitaries(spec)
@@ -145,9 +147,8 @@ def _samples(spec: EnsembleSpec, size: int, rng: np.random.Generator):
     """
     if not isinstance(spec, EnsembleSpec):
         raise ValidationError(f"unknown ensemble spec {spec!r}")
+    check_dense(spec.n_qubits)
     d = 1 << spec.n_qubits
-    if d > MAX_DENSE_DIM:
-        raise ValidationError(f"{spec.n_qubits} qubits exceed the dense limit {MAX_DENSE_DIM}")
     per = max(1, _PASS_ENTRIES // (d * d))
     for lo in range(0, size, per):
         count = min(per, size - lo)
@@ -283,11 +284,13 @@ def frame_potential(
         raise ValidationError("need k >= 1")
     if samples < 2:
         raise ValidationError("need at least two samples for a standard error")
-    # |tr(U^dag V)|^2k <= d^2k, and the standard error squares it
-    if isinstance(spec, EnsembleSpec) and 4 * k * spec.n_qubits >= sys.float_info.max_exp:
-        raise ValidationError(
-            f"k = {k} on {spec.n_qubits} qubits overflows float64: d^(4k) >= 2^1024"
-        )
+    if isinstance(spec, EnsembleSpec):
+        check_dense(spec.n_qubits)
+        # |tr(U^dag V)|^2k <= d^2k, and the standard error squares it
+        if 4 * k * spec.n_qubits >= sys.float_info.max_exp:
+            raise ValidationError(
+                f"k = {k} on {spec.n_qubits} qubits overflows float64: d^(4k) >= 2^1024"
+            )
     us = _samples(spec, 2 * samples, rng)
     vals = np.array([abs(np.vdot(u, v)) ** (2 * k) for u, v in zip(us, us)])
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
@@ -296,10 +299,7 @@ def frame_potential(
 def _choi_dims(spec: EnsembleSpec, k: int) -> tuple[int, int]:
     if k < 1:
         raise ValidationError("need k >= 1")
-    if 2 * k * spec.n_qubits > MAX_DENSE_QUBITS:  # exponents, so a huge k builds no huge int
-        raise ValidationError(
-            f"Choi dimension 2^{2 * k * spec.n_qubits} exceeds the dense limit {MAX_DENSE_DIM}"
-        )
+    check_dense(2 * k * spec.n_qubits, what=f"a {k}-copy Choi state")
     d = 1 << spec.n_qubits
     return d, d**k
 

@@ -9,9 +9,11 @@ Conventions, used consistently everywhere downstream:
   (so sigma(1, 1) = Y on one qubit);
 - the symplectic bit vector of a Pauli is the int x | (z << n), matching
   the x-block-then-z-block layout of kdesign.f2;
-- a Clifford is one validated object, CliffordOp, whose generator images
-  are PauliStrings; its array form, the tableau, is a tuple of 2n + 1 ints
-  (the image bit vectors, then the sign bits);
+- a Clifford is its tableau: CliffordOp validates a tuple of 2n + 1 ints
+  (the generator images as bit vectors, then the sign word), and its
+  x_images and z_images are PauliString views of those ints;
+- MAX_DENSE_QUBITS is the one dense-register bound, and check_dense is
+  its one check, in qubits or in dimensions;
 - CliffordOps are phase-quotiented: only the +/- signs on generator images
   are tracked, never a global phase.
 """
@@ -20,12 +22,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import InternalConsistencyError, ValidationError
-from .f2 import rref_basis, symplectic_product
+from .f2 import rref_basis, swap_halves, symplectic_product
 
 
 @dataclass(frozen=True)
@@ -166,60 +168,52 @@ def pauli_matrix(p: PauliString) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CliffordOp:
-    """Phase-quotiented Clifford, stored as signed generator images.
+    """Phase-quotiented Clifford: its tableau, validated.
 
-    x_images[j] and z_images[j] are the conjugation images of X_j and Z_j;
-    both are Hermitian Paulis (phase 0 or 2).  The induced map on symplectic
-    bit vectors must preserve the form, which the constructor verifies.
+    tableau holds the images of X_1..X_n, Z_1..Z_n under conjugation as
+    x | z << n bit vectors, then the sign word (bit j set when image j
+    carries -1).  The constructor checks its length, that every entry is a
+    2n-bit word, and that the images keep the generators' commutation
+    table (S^T J S = J).  x_images and z_images are read-only PauliString
+    views of the same images.
     """
 
     n: int
-    x_images: tuple[PauliString, ...]
-    z_images: tuple[PauliString, ...]
+    tableau: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.x_images) != self.n or len(self.z_images) != self.n:
-            raise ValidationError("need exactly n images for X and Z generators")
-        gens = self.x_images + self.z_images
-        for g in gens:
-            if g.n != self.n:
-                raise ValidationError("image qubit count mismatch")
-            if not g.is_hermitian():
-                raise ValidationError("generator images must carry sign +/-1 only")
-        # S^T J S = J: images inherit the generators' commutation table.
-        for a, ga in enumerate(gens):
-            for b in range(a + 1, 2 * self.n):
-                gb = gens[b]
-                got = ((ga.x & gb.z) ^ (ga.z & gb.x)).bit_count() & 1
-                if got != (b == a + self.n):
+        n, tab = self.n, tuple(self.tableau)
+        if n < 1 or len(tab) != 2 * n + 1:
+            raise ValidationError(f"a tableau on n >= 1 qubits has 2n + 1 entries, got n={n}")
+        if any(v < 0 or v >> 2 * n for v in tab):
+            raise ValidationError(f"tableau entries must be {2 * n}-bit words")
+        swapped = [swap_halves(v, n) for v in tab[:-1]]
+        for a in range(2 * n):
+            for b in range(a + 1, 2 * n):
+                if (tab[a] & swapped[b]).bit_count() & 1 != (b == a + n):
                     raise ValidationError("images do not satisfy the symplectic condition")
+        object.__setattr__(self, "tableau", tab)
 
     @classmethod
     def identity(cls, n: int) -> "CliffordOp":
-        xs = tuple(PauliString(n, 1 << j, 0, 0) for j in range(n))
-        zs = tuple(PauliString(n, 0, 1 << j, 0) for j in range(n))
-        return cls(n, xs, zs)
+        return cls(n, (*(1 << j for j in range(2 * n)), 0))
 
-    @classmethod
-    def from_tableau(cls, n: int, tableau) -> "CliffordOp":
-        """Inverse of `tableau`: 2n image bit vectors, then the sign bits."""
-        if len(tableau) != 2 * n + 1:
-            raise ValidationError(f"a tableau on n={n} qubits has {2 * n + 1} entries")
-        mask = (1 << n) - 1
-        signs = tableau[-1]
-        imgs = [
-            PauliString(n, v & mask, v >> n, 2 * ((signs >> j) & 1))
-            for j, v in enumerate(tableau[:-1])
-        ]
-        return cls(n, tuple(imgs[:n]), tuple(imgs[n:]))
+    @cached_property
+    def _images(self) -> tuple[PauliString, ...]:
+        """The signed images of X_1..X_n, then Z_1..Z_n, built once."""
+        n, signs = self.n, self.tableau[-1]
+        return tuple(
+            PauliString.from_symplectic_vec(v, n, 2 * ((signs >> j) & 1))
+            for j, v in enumerate(self.tableau[:-1])
+        )
 
     @property
-    def tableau(self) -> tuple[int, ...]:
-        """The array form: images of X_1..X_n, Z_1..Z_n as x | z << n bit
-        vectors, then the sign bits (bit j set when image j carries -1)."""
-        gens = self.x_images + self.z_images
-        signs = sum((g.phase >> 1) << j for j, g in enumerate(gens))
-        return (*(g.x | (g.z << self.n) for g in gens), signs)
+    def x_images(self) -> tuple[PauliString, ...]:
+        return self._images[: self.n]
+
+    @property
+    def z_images(self) -> tuple[PauliString, ...]:
+        return self._images[self.n :]
 
 
 def clifford_conjugate(c: CliffordOp, p: PauliString) -> PauliString:
@@ -228,24 +222,13 @@ def clifford_conjugate(c: CliffordOp, p: PauliString) -> PauliString:
         raise ValidationError(f"qubit count mismatch: {p.n} vs {c.n}")
     w = (p.x & p.z).bit_count()
     acc = PauliString(c.n, 0, 0, (p.phase + w) % 4)
-    for j in range(c.n):
-        if (p.x >> j) & 1:
-            acc = pauli_mul(acc, c.x_images[j])
-    for j in range(c.n):
-        if (p.z >> j) & 1:
-            acc = pauli_mul(acc, c.z_images[j])
+    v = p.symplectic_vec
+    for j, g in enumerate(c._images):
+        if (v >> j) & 1:
+            acc = pauli_mul(acc, g)
     if p.is_hermitian() and not acc.is_hermitian():
         raise InternalConsistencyError("conjugation broke Hermiticity")
     return acc
-
-
-def clifford_compose(c2: CliffordOp, c1: CliffordOp) -> CliffordOp:
-    """The Clifford acting as first c1, then c2 (operator product C2 C1)."""
-    if c1.n != c2.n:
-        raise ValidationError("qubit count mismatch")
-    xs = tuple(clifford_conjugate(c2, g) for g in c1.x_images)
-    zs = tuple(clifford_conjugate(c2, g) for g in c1.z_images)
-    return CliffordOp(c1.n, xs, zs)
 
 
 def clifford_inverse(c: CliffordOp) -> CliffordOp:
@@ -267,7 +250,7 @@ def clifford_inverse(c: CliffordOp) -> CliffordOp:
         if back.symplectic_vec != 1 << j:
             raise InternalConsistencyError("symplectic inverse failed to round-trip")
         signs |= (back.phase >> 1) << j
-    return CliffordOp.from_tableau(n, (*images, signs))
+    return CliffordOp(n, (*images, signs))
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +392,7 @@ def random_tableau(n: int, rng: np.random.Generator) -> tuple[int, ...]:
 
 def random_clifford(n: int, rng: np.random.Generator) -> CliffordOp:
     """Exactly uniform Clifford, as a validated CliffordOp."""
-    return CliffordOp.from_tableau(n, random_tableau(n, rng))
+    return CliffordOp(n, random_tableau(n, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +425,7 @@ def enumerate_symplectics(n: int) -> tuple[tuple[int, ...], ...]:
 def enumerate_cliffords(n: int) -> list[CliffordOp]:
     """The full phase-quotiented Clifford group; n <= 2 (24 and 11520 elements)."""
     return [
-        CliffordOp.from_tableau(n, (*s, sgn))
+        CliffordOp(n, (*s, sgn))
         for s in enumerate_symplectics(n)
         for sgn in range(1 << (2 * n))
     ]
@@ -452,8 +435,24 @@ def enumerate_cliffords(n: int) -> list[CliffordOp]:
 # dense conversion
 
 
-# The largest register held as dense amplitudes or matrices, here and in dense.
+# The largest register held as dense amplitudes or matrices, everywhere.
 MAX_DENSE_QUBITS = 12
+
+
+def check_dense(n: int | None = None, dim: int | None = None, what: str = "a register") -> None:
+    """ValidationError unless `what`, of n qubits or of dimension dim, lies
+    within the dense limit of 1 to MAX_DENSE_QUBITS qubits.  It builds no
+    2^n and names a dimension by its bit length alone, so any int is
+    checked at once."""
+    if dim is None and not 1 <= n <= MAX_DENSE_QUBITS:
+        raise ValidationError(
+            f"{what} of {n} qubits is outside the dense limit of 1 to {MAX_DENSE_QUBITS} qubits"
+        )
+    if dim is not None and not 1 <= dim <= 1 << MAX_DENSE_QUBITS:
+        raise ValidationError(
+            f"{what} of a {int(dim).bit_length()}-bit dimension is outside the dense limit "
+            f"of 1 to 2^{MAX_DENSE_QUBITS}"
+        )
 
 
 def cliffords_to_matrices(n: int, tableaus) -> np.ndarray:
@@ -466,10 +465,7 @@ def cliffords_to_matrices(n: int, tableaus) -> np.ndarray:
     P_x column 0, where P_x is the product of the X images of x's bits,
     built for all x by doubling over the bits.
     """
-    if n > MAX_DENSE_QUBITS:
-        raise ValidationError(
-            f"dense conversion limited to n <= {MAX_DENSE_QUBITS}, got n={n}"
-        )
+    check_dense(n)
     tab = np.asarray(tableaus, dtype=np.int64).reshape(-1, 2 * n + 1)
     m, d = len(tab), 1 << n
     xs, zs = tab[:, : 2 * n] & (d - 1), tab[:, : 2 * n] >> n
@@ -601,14 +597,12 @@ def _pauli_table(left: np.ndarray, amps: np.ndarray) -> np.ndarray:
     return _I_POWERS[np.bitwise_count(idx[:, None] & idx) % 4] * f
 
 
-def pauli_expectations_all(amps: np.ndarray, n: int) -> np.ndarray:
-    """<psi| sigma(a,b) |psi> for every (a,b), as a (2^n, 2^n) real array.
+def pauli_expectations_all(amps: np.ndarray) -> np.ndarray:
+    """<psi| sigma(a,b) |psi> for every (a,b), as a (2^n, 2^n) real array
+    for a state of 2^n amplitudes.
 
     Entry [a, b] is the expectation of sigma(a, b); cost O(4^n log 2^n).
     """
-    d = 1 << n
-    if amps.shape != (d,):
-        raise ValidationError("amplitude count does not match n")
     vals = _pauli_table(np.conj(amps), amps)
     if np.max(np.abs(vals.imag)) > 1e-7:
         raise InternalConsistencyError("Pauli expectation came out non-real")
@@ -616,7 +610,10 @@ def pauli_expectations_all(amps: np.ndarray, n: int) -> np.ndarray:
 
 
 def _qubit_count(amps: np.ndarray) -> int:
-    """n for a state of 2^n amplitudes; ValidationError for any other length."""
+    """n for a state of 2^n amplitudes; ValidationError for any other length
+    or shape."""
+    if np.ndim(amps) != 1:
+        raise ValidationError(f"amplitudes must form one vector, got shape {np.shape(amps)}")
     d = len(amps)
     if d < 1 or d & (d - 1):
         raise ValidationError(f"amplitude count {d} is not a power of two")
@@ -635,7 +632,7 @@ def stabilizer_group_of(psi, t: int) -> StabilizerGroup:
     if not 0 <= t <= n:
         raise ValidationError(f"need 0 <= t <= n, got t={t}")
 
-    exps = pauli_expectations_all(amps, n)
+    exps = pauli_expectations_all(amps)
     xs, zs = np.nonzero(np.abs(np.abs(exps) - 1.0) <= 1e-9)
 
     expected = 1 << (n - t)

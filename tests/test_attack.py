@@ -141,7 +141,7 @@ def test_source_validation():
 
 # every 4^n Pauli table, and the distinguisher's pre-run check, on n qubits
 PAULI_TABLE_CALLS = {
-    "pauli_expectations_all": lambda n: pauli_expectations_all(StateVector.basis(n).amplitudes, n),
+    "pauli_expectations_all": lambda n: pauli_expectations_all(StateVector.basis(n).amplitudes),
     "pauli_distribution": lambda n: pauli_distribution(StateVector.basis(n)),
     "bell_table": lambda n: bell_table(StateVector.basis(n)),
     "bell_difference_table": lambda n: bell_difference_table(StateVector.basis(n)),

@@ -318,6 +318,18 @@ def test_distinguish_epsilon_out_of_range_exits_2(tmp_path, capsys, eps):
     assert not out.exists()
 
 
+def test_distinguish_epsilon_without_thresholded_exits_2(tmp_path, capsys):
+    # raw tr^2 runs read no threshold, so a threshold given to one is an error
+    out = tmp_path / "out"
+    argv = ["distinguish", "--n", "3", "--t", "1", "--trials", "5", "--seed", "1"]
+    assert run(argv + ["--epsilon-t", "0.3", "--out", str(out)]) == 2
+    assert "--thresholded" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(argv + ["--out", str(out)]) == 0
+    doc = json.loads((out / "distinguish_n3_t1_seed1.json").read_text())
+    assert doc["epsilon_t"] == 0.5
+
+
 def test_readme_commands_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.M | re.S)
@@ -596,7 +608,7 @@ def _argv(draw):
         argv += ["--t", draw(_lists([0, 1, 4], (-1, 5))), "--trials", draw(_ints([1, 3]))]
         argv += draw(_optional("--l", _ints([1, 14])))
         eps = _mostly(st.sampled_from(["0.5", "1"]), st.sampled_from(["0", "-1", "2", "nan", "inf"]))
-        argv += ["--epsilon-t", draw(eps)]
+        argv += draw(_optional("--epsilon-t", eps))
         return argv + draw(st.sampled_from([[], ["--thresholded"]])) + seed
     argv = [name, "--n", draw(_ints([1, 2], (0, -1, 13)))]
     argv += ["--k", draw(_ints([1, 2, 3], (0, -1, 6)))]

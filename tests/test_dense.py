@@ -23,10 +23,13 @@ from kdesign.dense import (
 )
 from kdesign.errors import ValidationError
 from kdesign.pauli import (
+    MAX_DENSE_QUBITS,
     PauliString,
     _fwht,
     chi,
     clifford_to_matrix,
+    cliffords_to_matrices,
+    pauli_expectations_all,
     pauli_matrix,
     random_clifford,
 )
@@ -39,6 +42,34 @@ def test_state_vector_validation():
         StateVector(2, np.zeros(3))
     s = StateVector.basis(3, index=5)
     assert s.amplitudes[5] == 1.0
+
+
+# each dense register check, on counts just outside 1..MAX_DENSE_QUBITS
+REGISTER_CALLS = {
+    "StateVector": lambda n: StateVector(n, np.ones(1)),
+    "StateVector.basis": lambda n: StateVector.basis(n),
+    "haar_state": lambda n: haar_state(n, np.random.default_rng(0)),
+    "cliffords_to_matrices": lambda n: cliffords_to_matrices(n, [(0,)]),
+}
+
+
+@pytest.mark.parametrize("n", [-1, 0, MAX_DENSE_QUBITS + 1])
+@pytest.mark.parametrize("name", sorted(REGISTER_CALLS))
+def test_registers_outside_the_dense_limit_are_rejected(name, n):
+    limit = f"of {n} qubits is outside the dense limit of 1 to {MAX_DENSE_QUBITS} qubits"
+    with pytest.raises(ValidationError, match=limit):
+        REGISTER_CALLS[name](n)
+
+
+@pytest.mark.parametrize(
+    "d", [0, -1, (1 << MAX_DENSE_QUBITS) + 1, 2**20000], ids=["0", "-1", "4097", "2^20000"]
+)
+def test_dimensions_outside_the_dense_limit_are_named_by_bit_length(d):
+    rng = np.random.default_rng(0)
+    for call in (lambda: haar_unitary(d, rng), lambda: DenseOperator(d, np.eye(2))):
+        with pytest.raises(ValidationError, match="dense limit") as err:
+            call()
+        assert f"of a {d.bit_length()}-bit dimension" in str(err.value)
 
 
 def test_dense_operator_flags():
@@ -156,6 +187,12 @@ def test_tables_reject_lengths_that_are_not_powers_of_two(table, length):
         table(np.ones(length, dtype=complex))
 
 
+@pytest.mark.parametrize("table", [pauli_expectations_all, pauli_distribution, bell_table])
+def test_tables_reject_amplitudes_that_are_not_one_vector(table):
+    with pytest.raises(ValidationError, match="one vector"):
+        table(np.eye(4, dtype=complex))
+
+
 def test_xor_convolve_oracle():
     rng = np.random.default_rng(9)
     p = rng.random(8)
@@ -200,6 +237,17 @@ def test_bell_difference_paths_agree():
             counts[(p.x << n) | p.z] += 1
         tv = 0.5 * np.abs(counts / m - exact).sum()
         assert tv <= 0.05, path
+
+
+def test_bell_difference_samples_are_pairs_of_one_bulk_draw():
+    # m bell_difference_sample calls draw the XORed pairs of one 2m-outcome
+    # draw from the Bell table, and leave the generator where it does
+    psi = haar_state(3, np.random.default_rng(19))
+    calls, bulk = np.random.default_rng(21), np.random.default_rng(21)
+    got = [bell_difference_sample(psi, calls) for _ in range(500)]
+    pairs = draw_from_table(bell_table(psi), bulk, 1000).reshape(-1, 2)
+    assert [(p.x << 3) | p.z for p in got] == (pairs[:, 0] ^ pairs[:, 1]).tolist()
+    assert calls.bit_generator.state == bulk.bit_generator.state
 
 
 def test_bell_difference_zero_state_gives_z_strings():

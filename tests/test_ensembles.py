@@ -494,7 +494,9 @@ def test_outer_average_is_the_same_across_chunks(monkeypatch, batch):
 
 
 @pytest.mark.parametrize(
-    "spec", [CliffordUniform(40), Homeopathy(40, 2, Haar(2)), CliffordUniform(13)], ids=str
+    "spec",
+    [CliffordUniform(40), Homeopathy(40, 2, Haar(2)), CliffordUniform(13), Haar(20000)],
+    ids=str,
 )
 def test_too_wide_spec_is_rejected_before_any_draw(spec):
     rng = np.random.default_rng(3)

@@ -22,7 +22,6 @@ from kdesign.pauli import (
     _tableaus,
     apply_pauli,
     chi,
-    clifford_compose,
     clifford_conjugate,
     clifford_inverse,
     clifford_to_matrix,
@@ -128,28 +127,21 @@ def test_validation():
 
 
 # ---------------------------------------------------------------------------
-# hand-built Cliffords as the independent route
+# hand-built Cliffords as the independent route: tableaus written from the
+# gates' definitions, images as x | z << n, then the sign word
 
 
 def hadamard_op() -> CliffordOp:
-    return CliffordOp(
-        1, (PauliString(1, 0, 1),), (PauliString(1, 1, 0),)
-    )  # X -> Z, Z -> X
+    return CliffordOp(1, (0b10, 0b01, 0))  # X -> Z, Z -> X
 
 
 def phase_op() -> CliffordOp:
-    return CliffordOp(
-        1, (PauliString(1, 1, 1),), (PauliString(1, 0, 1),)
-    )  # X -> Y, Z -> Z
+    return CliffordOp(1, (0b11, 0b10, 0))  # X -> Y, Z -> Z
 
 
 def cnot_op() -> CliffordOp:
-    # control qubit 0, target qubit 1
-    return CliffordOp(
-        2,
-        (PauliString(2, 0b11, 0), PauliString(2, 0b10, 0)),
-        (PauliString(2, 0, 0b01), PauliString(2, 0, 0b11)),
-    )
+    # control qubit 0, target qubit 1: X0 -> X0 X1, X1 -> X1, Z0 -> Z0, Z1 -> Z0 Z1
+    return CliffordOp(2, (0b0011, 0b0010, 0b0100, 0b1100, 0))
 
 
 def cnot_matrix() -> np.ndarray:
@@ -158,13 +150,6 @@ def cnot_matrix() -> np.ndarray:
         for x1 in (0, 1):
             u[(x1 ^ x0) * 2 + x0, x1 * 2 + x0] = 1.0
     return u
-
-
-def embed(m: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    full = np.array([[1.0 + 0j]])
-    for j in range(n):
-        full = np.kron(m if j == qubit else I2, full)
-    return full
 
 
 def assert_equal_up_to_phase(a: np.ndarray, b: np.ndarray, atol=1e-9):
@@ -214,48 +199,15 @@ def test_conjugate_matches_dense(p, seed):
     )
 
 
-def test_compose_matches_dense_products():
-    # random words in {H, S, CNOT} on 2 qubits, checked against plain matmul
-    rng = np.random.default_rng(3)
-    gates = [
-        (embed_op(hadamard_op(), 0), embed(H, 0, 2)),
-        (embed_op(hadamard_op(), 1), embed(H, 1, 2)),
-        (embed_op(phase_op(), 0), embed(S, 0, 2)),
-        (embed_op(phase_op(), 1), embed(S, 1, 2)),
-        (cnot_op(), cnot_matrix()),
-    ]
-    for _ in range(10):
-        word = rng.integers(0, len(gates), size=8)
-        c = CliffordOp.identity(2)
-        u = np.eye(4, dtype=complex)
-        for g in word:
-            c = clifford_compose(gates[g][0], c)
-            u = gates[g][1] @ u
-        assert_equal_up_to_phase(clifford_to_matrix(c), u)
-
-
-def embed_op(c1: CliffordOp, qubit: int) -> CliffordOp:
-    """Single-qubit Clifford acting on one wire of a 2-qubit register."""
-    n = 2
-
-    def lift(p: PauliString) -> PauliString:
-        return PauliString(n, p.x << qubit, p.z << qubit, p.phase)
-
-    xs, zs = [], []
-    for j in range(n):
-        if j == qubit:
-            xs.append(lift(c1.x_images[0]))
-            zs.append(lift(c1.z_images[0]))
-        else:
-            xs.append(PauliString(n, 1 << j, 0))
-            zs.append(PauliString(n, 0, 1 << j))
-    return CliffordOp(n, tuple(xs), tuple(zs))
-
-
 def assert_inverts(c: CliffordOp) -> None:
+    """C (C^-1 g C) C^dagger = g and C^-1 (C g C^dagger) C = g for every
+    signed generator g."""
     cinv = clifford_inverse(c)
-    identity = CliffordOp.identity(c.n)
-    assert clifford_compose(c, cinv) == clifford_compose(cinv, c) == identity
+    for v in range(2 * c.n):
+        for phase in (0, 2):
+            g = PauliString.from_symplectic_vec(1 << v, c.n, phase)
+            assert clifford_conjugate(c, clifford_conjugate(cinv, g)) == g
+            assert clifford_conjugate(cinv, clifford_conjugate(c, g)) == g
 
 
 def test_inverse():
@@ -269,8 +221,15 @@ def test_inverse():
 
 def test_bad_tableau_rejected():
     # X -> X, Z -> X cannot be symplectic
-    with pytest.raises(ValidationError):
-        CliffordOp(1, (PauliString(1, 1, 0),), (PauliString(1, 1, 0),))
+    with pytest.raises(ValidationError, match="symplectic condition"):
+        CliffordOp(1, (1, 1, 0))
+    for n, tab in ((2, (1, 2, 4)), (1, (2, 1)), (1, (2, 1, 0, 0)), (0, (0,))):
+        with pytest.raises(ValidationError, match="2n \\+ 1 entries"):
+            CliffordOp(n, tab)
+    # an image, or the sign word, of 2n + 1 bits; a negative entry
+    for tab in ((2 | 1 << 2, 1, 0), (2, 1, 1 << 2), (2, 1, -1)):
+        with pytest.raises(ValidationError, match="2-bit words"):
+            CliffordOp(1, tab)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -292,11 +251,11 @@ def test_one_flipped_image_bit_is_rejected_unless_still_symplectic(n):
                     for b in range(a + 1, nn)
                 )
                 if symplectic:
-                    CliffordOp.from_tableau(n, bad)
+                    CliffordOp(n, bad)
                 else:
                     rejected += 1
                     with pytest.raises(ValidationError):
-                        CliffordOp.from_tableau(n, bad)
+                        CliffordOp(n, bad)
     # a flip keeps the form only when it adds the partner image itself
     assert rejected >= 3 * nn * (nn - 1)
 
@@ -569,19 +528,21 @@ SEED0_INVERSES = {
 @pytest.mark.parametrize("n", sorted(SEED0_INVERSES))
 def test_seed0_inverses_are_pinned(n):
     draws, _ = SEED0_TABLEAUS[n]
-    got = [clifford_inverse(CliffordOp.from_tableau(n, (*i, s))).tableau for i, s in draws]
+    got = [clifford_inverse(CliffordOp(n, (*i, s))).tableau for i, s in draws]
     assert got == SEED0_INVERSES[n]
 
 
 def test_tableau_round_trip():
+    """The image views round-trip to the tableau ints."""
     rng = np.random.default_rng(71)
     for n in (1, 2, 3, 5):
         t = random_tableau(n, rng)
-        assert CliffordOp.from_tableau(n, t).tableau == t
-    with pytest.raises(ValidationError):
-        CliffordOp.from_tableau(2, (1, 2, 4))
-    for c in enumerate_cliffords(1):
-        assert CliffordOp.from_tableau(1, c.tableau) == c
+        c = CliffordOp(n, list(t))
+        assert c.tableau == t and c == CliffordOp(n, t) and hash(c) == hash(CliffordOp(n, t))
+        gens = c.x_images + c.z_images
+        assert [(g.x | g.z << n, g.phase) for g in gens] == [
+            (v, 2 * ((t[-1] >> j) & 1)) for j, v in enumerate(t[:-1])
+        ]
 
 
 def loop_clifford_to_matrix(c: CliffordOp) -> np.ndarray:
@@ -625,7 +586,7 @@ def test_batched_conversion_is_bit_identical_per_element(n):
     batch = cliffords_to_matrices(n, tabs)
     assert batch.shape == (40, 1 << n, 1 << n)
     for t, u in zip(tabs, batch):
-        assert u.tobytes() == clifford_to_matrix(CliffordOp.from_tableau(n, t)).tobytes()
+        assert u.tobytes() == clifford_to_matrix(CliffordOp(n, t)).tobytes()
         assert cliffords_to_matrices(n, np.array([t]))[0].tobytes() == u.tobytes()
         # global phase: the largest amplitude of column 0 is real positive
         top = u[np.argmax(np.abs(u[:, 0])), 0]
@@ -666,7 +627,7 @@ def test_pauli_expectations_all_oracle():
     n = 3
     v = rng.normal(size=8) + 1j * rng.normal(size=8)
     v /= np.linalg.norm(v)
-    table = pauli_expectations_all(v, n)
+    table = pauli_expectations_all(v)
     for a in (0, 1, 5, 7):
         for b in (0, 2, 3, 6):
             want = np.vdot(v, pauli_matrix(PauliString(n, a, b)) @ v).real
@@ -730,7 +691,7 @@ def test_pauli_expectations_all_equals_the_row_loop_bit_for_bit(n):
     haar = rng.normal(size=d) + 1j * rng.normal(size=d)
     states = [haar / np.linalg.norm(haar), clifford_to_matrix(random_clifford(n, rng))[:, 0]]
     for v in states:
-        assert pauli_expectations_all(v, n).tobytes() == loop_pauli_expectations(v, n).tobytes()
+        assert pauli_expectations_all(v).tobytes() == loop_pauli_expectations(v, n).tobytes()
 
 
 @pytest.mark.parametrize("n", range(1, 7))
