@@ -8,6 +8,7 @@ bit j of a basis index, and "the first m qubits" are the low m bits.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,12 @@ class StateVector:
     @classmethod
     def basis(cls, n: int, index: int = 0) -> "StateVector":
         check_dense(n)
+        try:
+            index = operator.index(index)
+        except TypeError:
+            raise ValidationError(f"basis index must be an integer, got {index!r}") from None
+        if not 0 <= index < 1 << n:
+            raise ValidationError(f"basis index {index} is outside 0..{(1 << n) - 1}")
         amps = np.zeros(1 << n, dtype=complex)
         amps[index] = 1.0
         return cls(n, amps)
@@ -69,12 +76,13 @@ class DenseOperator:
         g = self.matrix.conj().T @ self.matrix
         return bool(np.max(np.abs(g - np.eye(self.dim))) <= tol)
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)
-
 
 def _amps(psi) -> np.ndarray:
-    return np.asarray(getattr(psi, "amplitudes", psi), dtype=complex)
+    """The amplitudes of a StateVector, or of an array checked as one."""
+    if isinstance(psi, StateVector):
+        return psi.amplitudes
+    a = np.asarray(psi, dtype=complex)
+    return StateVector(_qubit_count(a), a).amplitudes
 
 
 def haar_state(n: int, rng: np.random.Generator) -> StateVector:

@@ -195,7 +195,9 @@ def enumerate_unitaries(spec: EnsembleSpec) -> tuple[DenseOperator, ...]:
 
 
 # The config of a spec is {"variant": its name here} plus one key per
-# dataclass field, in field order.
+# dataclass field, in field order: an int as it is, `inner` as its own config
+# and `unitaries` as [re, im] pairs.  Run manifests record it; nothing reads
+# one back.
 _VARIANTS = {
     "haar": Haar,
     "clifford_uniform": CliffordUniform,
@@ -211,62 +213,15 @@ def to_config(spec: EnsembleSpec) -> dict:
         raise ValidationError(f"unknown ensemble spec {spec!r}")
     cfg = {"variant": names[0]}
     for f in dataclasses.fields(spec):
-        cfg[f.name] = _FIELD_CODECS.get(f.name, _INT_CODEC)[0](getattr(spec, f.name))
+        value = getattr(spec, f.name)
+        if f.name == "inner":
+            value = to_config(value)
+        elif f.name == "unitaries":
+            value = [
+                [[[float(z.real), float(z.imag)] for z in row] for row in u.matrix] for u in value
+            ]
+        cfg[f.name] = value
     return cfg
-
-
-def from_config(cfg: dict) -> EnsembleSpec:
-    """The spec to_config wrote cfg for; ValidationError for a missing, bad
-    or unknown key at any nesting level."""
-    try:
-        variant = cfg["variant"]
-    except (TypeError, KeyError):
-        raise ValidationError("ensemble config needs a 'variant' key") from None
-    if not isinstance(variant, str) or variant not in _VARIANTS:
-        raise ValidationError(f"unknown ensemble variant {variant!r}")
-    keys = [f.name for f in dataclasses.fields(_VARIANTS[variant])]
-    for key in cfg:
-        if key != "variant" and key not in keys:
-            raise ValidationError(f"{variant!r} ensemble config has an unknown key {key!r}")
-
-    def field(key: str):
-        try:
-            return _FIELD_CODECS.get(key, _INT_CODEC)[1](cfg[key])
-        except KeyError:
-            raise ValidationError(f"{variant!r} ensemble config is missing key {key!r}") from None
-        except ValidationError:
-            raise
-        except (TypeError, ValueError, OverflowError):
-            raise ValidationError(
-                f"{variant!r} ensemble config has a bad {key!r}: {cfg[key]!r}"
-            ) from None
-
-    return _VARIANTS[variant](*[field(key) for key in keys])
-
-
-def _exact_int(value) -> int:
-    """value itself if it is an int, else TypeError: no float, bool or string
-    is read as a qubit count."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"not an int: {value!r}")
-    return value
-
-
-def _unitaries_to_config(us: tuple[DenseOperator, ...]) -> list:
-    return [[[[float(z.real), float(z.imag)] for z in row] for row in u.matrix] for u in us]
-
-
-def _unitaries_from_config(mats) -> tuple[DenseOperator, ...]:
-    arrays = (np.array([[complex(re, im) for re, im in row] for row in rows]) for rows in mats)
-    return tuple(DenseOperator(len(m), m) for m in arrays)
-
-
-# (writer, checked reader) of each config field; every other field is an int
-_INT_CODEC = (lambda value: value, _exact_int)
-_FIELD_CODECS = {
-    "inner": (to_config, from_config),
-    "unitaries": (_unitaries_to_config, _unitaries_from_config),
-}
 
 
 # ---------------------------------------------------------------------------

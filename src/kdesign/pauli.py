@@ -82,17 +82,8 @@ class PauliString:
     def is_hermitian(self) -> bool:
         return self.phase % 2 == 0
 
-    def sign(self) -> int:
-        """+1 or -1 for Hermitian Paulis."""
-        if not self.is_hermitian():
-            raise ValidationError("sign undefined for non-Hermitian phase")
-        return 1 if self.phase == 0 else -1
-
     def negate(self) -> "PauliString":
         return PauliString(self.n, self.x, self.z, (self.phase + 2) % 4)
-
-    def weight(self) -> int:
-        return (self.x | self.z).bit_count()
 
 
 def pauli_mul(p: PauliString, q: PauliString) -> PauliString:

@@ -50,32 +50,36 @@ def test_commutant_archive_round_trip(tmp_path, capsys):
     assert table.k == 2 and table.n == 1
 
 
-def test_frame_potential_csv(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "ensemble,n,extra,config",
+    [
+        ("haar", 2, [], {"variant": "haar", "n": 2}),
+        ("clifford", 2, [], {"variant": "clifford_uniform", "n": 2}),
+        (
+            "homeopathy",
+            3,
+            ["--t", "2"],
+            {"variant": "homeopathy", "n": 3, "t": 2, "inner": {"variant": "haar", "n": 2}},
+        ),
+    ],
+    ids=["haar", "clifford", "homeopathy"],
+)
+def test_frame_potential_csv(tmp_path, capsys, ensemble, n, extra, config):
     rc = run(
-        [
-            "frame-potential",
-            "--ensemble",
-            "haar",
-            "--n",
-            "1",
-            "--k",
-            "1",
-            "--samples",
-            "500",
-            "--seed",
-            "3",
-            "--out",
-            str(tmp_path),
-        ]
+        ["frame-potential", "--ensemble", ensemble, "--n", str(n), *extra]
+        + ["--k", "1", "--samples", "500", "--seed", "3", "--out", str(tmp_path)]
     )
     assert rc == 0
-    lines = (
-        (tmp_path / "frame_potential_haar_n1_k1_seed3.csv").read_text().strip().split("\n")
-    )
+    stem = f"frame_potential_{ensemble}_n{n}_k1_seed3"
+    lines = (tmp_path / f"{stem}.csv").read_text().strip().split("\n")
     assert lines[0] == "ensemble,n,k,samples,estimate,stderr,seed"
     fields = lines[1].split(",")
-    assert fields[0] == "haar"
+    assert fields[0] == ensemble
+    # every ensemble here is a 1-design: E|tr(U^dag V)|^2 = 1
     assert float(fields[4]) == pytest.approx(1.0, abs=0.2)
+    # the manifest records the spec through to_config, its one program caller
+    manifest = json.loads((tmp_path / f"{stem}.manifest.json").read_text())
+    assert manifest["spec"]["ensemble"] == config
 
 
 def test_decay_csv_byte_identical_across_runs(tmp_path):

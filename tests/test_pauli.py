@@ -109,8 +109,7 @@ def test_chi_matches_dense(pq):
 def test_label_round_trip():
     p = PauliString.from_label("XIZY", sign=-1)
     assert p.label() == "XIZY"
-    assert p.sign() == -1
-    assert p.weight() == 3
+    assert p.phase == 2
 
 
 def test_validation():
@@ -122,8 +121,6 @@ def test_validation():
         PauliString(0, 0, 0)
     with pytest.raises(ValidationError):
         PauliString.from_symplectic_vec(1 << 6, 3)
-    with pytest.raises(ValidationError):
-        PauliString(1, 0, 0, 1).sign()
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +723,7 @@ def test_stabilizer_group_of_zero_state():
     assert g.order == 8
     labs = sorted(p.label() for p in g.generators)
     assert labs == ["IIZ", "IZI", "ZII"]
-    assert all(p.sign() == 1 for p in g.generators)
+    assert all(p.phase == 0 for p in g.generators)
 
 
 def test_stabilizer_group_of_one_state():
