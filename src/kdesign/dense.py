@@ -152,7 +152,10 @@ def bell_table(psi) -> np.ndarray:
 
 
 def xor_convolve(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """(p * q)[c] = sum_u p[u] q[u ^ c] over the flat bit labels."""
+    """(p * q)[c] = sum_u p[u] q[u ^ c] over the flat bit labels, by three
+    Walsh transforms.  It is the general convolution: bell_difference_table
+    takes a pure state's self-convolution with one, and the tests check
+    that table against this."""
     if p.shape != q.shape:
         raise ValidationError("tables must have identical shapes")
     flat_p = p.reshape(-1)
@@ -167,11 +170,15 @@ def xor_convolve(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 def bell_difference_table(psi) -> np.ndarray:
     """Distribution of the product of two independent Bell outcomes.
 
-    Computed as the XOR self-convolution of the characteristic distribution,
-    which equals the self-convolution of the Bell table.
+    This is the XOR self-convolution p * p of the characteristic
+    distribution p, which equals the self-convolution of the Bell table.
+    For a pure state p is self-dual: its Walsh transform over the 2n flat
+    bits is d p^T, the table transposed (Gross, Nezami and Walter,
+    arXiv:1712.08628).  So p * p = FWHT(FWHT(p)^2) / 4^n = FWHT((p^T)^2),
+    one transform where xor_convolve(p, p), the tests' oracle, takes three.
     """
     p = pauli_distribution(psi)
-    return np.clip(xor_convolve(p, p), 0.0, None)
+    return np.clip(_fwht(np.square(p.T, order="C").reshape(-1)).reshape(p.shape), 0.0, None)
 
 
 def draw_from_table(table: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -182,8 +189,17 @@ def draw_from_table(table: np.ndarray, rng: np.random.Generator, size: int) -> n
 
 
 def flat_index_to_pauli(f: int, n: int) -> PauliString:
-    """Decode a flat table index a * 2^n + b into the phaseless Pauli sigma(a,b)."""
-    return PauliString(n, (f >> n) & ((1 << n) - 1), f & ((1 << n) - 1), 0)
+    """Decode a flat table index a * 2^n + b into the phaseless Pauli sigma(a,b).
+
+    Raises ValidationError unless f is an integer in 0..4^n - 1.
+    """
+    try:
+        f = operator.index(f)
+    except TypeError:
+        raise ValidationError(f"flat index must be an integer, got {f!r}") from None
+    if not 0 <= f < 4**n:
+        raise ValidationError(f"flat index {f} is outside 0..4^{n} - 1")
+    return PauliString(n, f >> n, f & ((1 << n) - 1), 0)
 
 
 def bell_difference_sample(psi, rng: np.random.Generator) -> PauliString:

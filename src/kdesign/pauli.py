@@ -453,50 +453,52 @@ def cliffords_to_matrices(n: int, tableaus) -> np.ndarray:
     integer array.  Column 0 of each unitary is the stabilizer state of the
     Z images, the projection of the first basis state it overlaps, with its
     largest amplitude made real positive (the global phase).  Column x is
-    P_x column 0, where P_x is the product of the X images of x's bits,
-    built for all x by doubling over the bits.
+    P_x column 0, where P_x is the product of the X images of x's bits.
+
+    The projector is the average of the Z-image group G, so <s|Pi|s> is
+    the sum over G's diagonal elements +/-Z^z of +/-(-1)^(z.s), over 2^n:
+    the Walsh transform of those signs at s.  The first basis state with a
+    positive value is the first one Pi does not annihilate.
     """
     check_dense(n)
     tab = np.asarray(tableaus, dtype=np.int64).reshape(-1, 2 * n + 1)
     m, d = len(tab), 1 << n
     xs, zs = tab[:, : 2 * n] & (d - 1), tab[:, : 2 * n] >> n
     phases = 2 * ((tab[:, 2 * n :] >> np.arange(2 * n)) & 1)
-    rows = np.arange(d)
+    rows, each = np.arange(d), np.arange(m)[:, None]
 
-    zsrc, zfac = _pauli_action(
-        xs[:, n:, None], zs[:, n:, None], phases[:, n:, None], rows
-    )
-    psi = np.empty((m, d), dtype=complex)
-    todo = np.arange(m)
-    for start in range(d):
-        cand = np.zeros((len(todo), d), dtype=complex)
-        cand[:, start] = 1.0
-        for j in range(n):
-            gathered = np.take_along_axis(cand, zsrc[todo, j], axis=1)
-            cand = 0.5 * (cand + zfac[todo, j] * gathered)
-        nrm = np.linalg.norm(cand, axis=1)
-        hit = nrm > 1e-9
-        psi[todo[hit]] = cand[hit] / nrm[hit, None]
-        todo = todo[~hit]
-        if not len(todo):
-            break
-    else:
-        raise InternalConsistencyError("stabilizer projector annihilated every basis state")
-    # pin the global phase: largest amplitude made real positive
-    top = np.take_along_axis(psi, np.argmax(np.abs(psi), axis=1)[:, None], axis=1)
-    psi = psi * (np.abs(top) / top)
-
-    # X-image products P_x: P_{x + 2^j} = P_x X_j for x < 2^j
-    px, pz, pph = (np.zeros((m, d), dtype=np.int64) for _ in range(3))
+    # products of the X images (row 2i) and of the Z images (row 2i + 1) of
+    # tableau i, by doubling: P_{s + 2^j} = P_s G_j for s < 2^j
+    gx, gz, gph = (a.reshape(2 * m, n) for a in (xs, zs, phases))
+    px, pz, pph = (np.zeros((2 * m, d), dtype=np.int64) for _ in range(3))
     for j in range(n):
         h = 1 << j
         px[:, h : 2 * h], pz[:, h : 2 * h], pph[:, h : 2 * h] = _pauli_product(
-            px[:, :h], pz[:, :h], pph[:, :h], xs[:, j, None], zs[:, j, None], phases[:, j, None]
+            px[:, :h], pz[:, :h], pph[:, :h], gx[:, j, None], gz[:, j, None], gph[:, j, None]
         )
-    src, fac = _pauli_action(
-        px[:, None, :], pz[:, None, :], pph[:, None, :], rows[:, None]
+    # [:, 0]: the X-image products P_x; [:, 1]: the Z-image group
+    px, pz, pph = (a.reshape(m, 2, d) for a in (px, pz, pph))
+    r, c = np.nonzero(px[:, 1] == 0)
+    signs = np.bincount(r * d + pz[r, 1, c], weights=1 - pph[r, 1, c], minlength=m * d)
+    support = _fwht(signs.reshape(m, d)) > 0
+    if not support.any(axis=1).all():
+        raise InternalConsistencyError("stabilizer projector annihilated every basis state")
+    psi = np.zeros((m, d), dtype=complex)
+    psi[each[:, 0], support.argmax(axis=1)] = 1.0
+    zsrc, zfac = _pauli_action(
+        xs[:, n:, None], zs[:, n:, None], phases[:, n:, None], rows
     )
-    u = fac * np.take_along_axis(psi[:, None, :], src, axis=2)
+    for j in range(n):
+        psi = 0.5 * (psi + zfac[:, j] * psi[each, zsrc[:, j]])
+    psi = psi / np.linalg.norm(psi, axis=1)[:, None]
+    # pin the global phase: largest amplitude made real positive
+    top = psi[each, np.argmax(np.abs(psi), axis=1)[:, None]]
+    psi = psi * (np.abs(top) / top)
+
+    src, fac = _pauli_action(
+        px[:, 0, None, :], pz[:, 0, None, :], pph[:, 0, None, :], rows[:, None]
+    )
+    u = fac * psi[each[:, :, None], src]
     u[:, :, 0] = psi
     return u
 
@@ -548,19 +550,45 @@ class StabilizerGroup:
             yield acc
 
 
+def _butterflies(x: np.ndarray) -> np.ndarray:
+    """Radix-2 Walsh levels along axis 1 of a C-contiguous (R, N, M) array,
+    which it overwrites: each level writes out of place into the other of
+    two buffers, so no level copies a half first."""
+    rows, size, inner = x.shape
+    y = np.empty_like(x)
+    h = 1
+    while h < size:
+        s, o = x.reshape(rows, -1, 2, h * inner), y.reshape(rows, -1, 2, h * inner)
+        np.add(s[:, :, 0], s[:, :, 1], out=o[:, :, 0])
+        np.subtract(s[:, :, 0], s[:, :, 1], out=o[:, :, 1])
+        x, y = y, x
+        h *= 2
+    return x
+
+
 def _fwht(v: np.ndarray) -> np.ndarray:
     """Walsh-Hadamard transform of the last axis, unnormalized; its length
-    is a power of two."""
-    v = v.copy()
-    h = 1
-    while h < v.shape[-1]:
-        w = v.reshape(*v.shape[:-1], -1, 2, h)
-        lo, hi = w[..., 0, :], w[..., 1, :]
-        a = lo.copy()
-        lo += hi
-        np.subtract(a, hi, out=hi)
-        h *= 2
-    return v
+    is a power of two.
+
+    The radix-2 butterflies (lo, hi) -> (lo + hi, lo - hi) at strides 1, 2,
+    4, ...: the additions of the in-place radix-2 form (the tests' oracle)
+    in the same order, so the bits are the same.  Only the layout differs.
+    numpy runs one inner loop per contiguous run, and a stride-h level in
+    the natural layout has runs of h.  So the levels of the low b positions
+    run on a copy that puts those bits in front of every other index, and
+    the levels of the high bits run on the natural layout again, with runs
+    of at least b.  b is the power of two near sqrt(rows x length), capped
+    at the length, which balances the two run lengths.
+    """
+    v = np.asarray(v)
+    size = v.shape[-1]
+    rows = v.size // size
+    b = min(size, 1 << (rows * size).bit_length() // 2)
+    a = size // b
+    low = np.array(v.reshape(rows, a, b).transpose(2, 0, 1), order="C")
+    low = _butterflies(low.reshape(1, b, rows * a))
+    high = np.array(low.reshape(b, rows, a).transpose(1, 2, 0), order="C")
+    return _butterflies(high.reshape(rows, a, b)).reshape(v.shape)
 
 
 # i^k for k = 0..3, as `1j ** k` gives them
@@ -583,9 +611,19 @@ def _pauli_table(left: np.ndarray, amps: np.ndarray) -> np.ndarray:
     n = _qubit_count(amps)
     if n > MAX_TABLE_QUBITS:
         raise ValidationError(f"4^n tables limited to n <= {MAX_TABLE_QUBITS}, got n={n}")
-    idx = np.arange(len(amps))
-    f = _fwht(left[idx[:, None] ^ idx] * amps)
-    return _I_POWERS[np.bitwise_count(idx[:, None] & idx) % 4] * f
+    xor, powers = _table_layout(n)
+    return powers * _fwht(left[xor] * amps)
+
+
+@lru_cache(maxsize=None)
+def _table_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The fixed arrays of `_pauli_table` at n qubits: a ^ x at [a, x], and
+    i^|a & b| at [a, b]."""
+    idx = np.arange(1 << n)
+    layout = idx[:, None] ^ idx, _I_POWERS[np.bitwise_count(idx[:, None] & idx) % 4]
+    for a in layout:  # shared by every call
+        a.flags.writeable = False
+    return layout
 
 
 def pauli_expectations_all(amps: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from kdesign.attack import make_compressible
 from kdesign.dense import (
     DenseOperator,
     StateVector,
@@ -237,6 +238,21 @@ def test_bell_difference_equals_char_convolution():
         )
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_bell_difference_table_is_one_transform_of_the_self_dual_table(n):
+    # Haar and t-compressible states: FWHT(p) = d p^T over the 2n flat bits,
+    # so p * p = FWHT((p^T)^2) matches the three-transform convolution
+    rng = np.random.default_rng(90 + n)
+    d = 1 << n
+    states = [haar_state(n, rng)] + [make_compressible(n, t, rng) for t in sorted({0, 1, n // 2})]
+    for psi in states:
+        p = pauli_distribution(psi)
+        dual = _fwht(p.reshape(-1)).reshape(p.shape)
+        assert np.max(np.abs(dual - d * p.T)) <= 1e-12
+        oracle = np.clip(xor_convolve(p, p), 0.0, None)
+        assert np.max(np.abs(bell_difference_table(psi) - oracle)) <= 1e-15
+
+
 def test_bell_difference_paths_agree():
     # both sampling paths reproduce the exact difference distribution
     rng = np.random.default_rng(13)
@@ -301,6 +317,11 @@ def test_flat_index_round_trip():
     f = (p.x << n) | p.z
     q = flat_index_to_pauli(f, n)
     assert (q.x, q.z, q.phase) == (p.x, p.z, 0)
+    assert flat_index_to_pauli(15, 2) == PauliString(2, 3, 3)
+    # masked to 2n bits, 16 would decode as the identity and -1 as sigma(3, 3)
+    for f in (16, -1, 1.5, "3"):
+        with pytest.raises(ValidationError, match="flat index"):
+            flat_index_to_pauli(f, 2)
 
 
 def test_commutation_frequency_identity():

@@ -569,11 +569,17 @@ def loop_clifford_to_matrix(c: CliffordOp) -> np.ndarray:
 
 def test_conversion_matches_the_loop_reference_bit_for_bit():
     rng = np.random.default_rng(79)
-    for n in (1, 2, 3, 4, 5):
+    for n in range(1, 9):
         cs = [random_clifford(n, rng) for _ in range(30)]
         batch = cliffords_to_matrices(n, [c.tableau for c in cs])
         for c, u in zip(cs, batch):
             assert u.tobytes() == loop_clifford_to_matrix(c).tobytes()
+
+
+def test_conversion_of_an_empty_stabilizer_support_is_an_internal_error():
+    # an unchecked tableau array whose Z image is -I: the projector is zero
+    with pytest.raises(InternalConsistencyError, match="annihilated every basis state"):
+        cliffords_to_matrices(1, [[1, 0, 0b10]])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -631,16 +637,17 @@ def test_pauli_expectations_all_oracle():
             assert abs(table[a, b] - want) < 1e-10
 
 
-def loop_fwht(v: np.ndarray) -> np.ndarray:
-    """Reference: the in-place butterfly on one 1-D vector."""
+def radix2_fwht(v: np.ndarray) -> np.ndarray:
+    """Reference: the in-place radix-2 butterfly on the last axis, one level
+    per pass in the natural layout."""
     v = v.copy()
     h = 1
-    while h < len(v):
-        v = v.reshape(-1, 2, h)
-        a = v[:, 0, :].copy()
-        v[:, 0, :] = a + v[:, 1, :]
-        v[:, 1, :] = a - v[:, 1, :]
-        v = v.reshape(-1)
+    while h < v.shape[-1]:
+        w = v.reshape(*v.shape[:-1], -1, 2, h)
+        lo, hi = w[..., 0, :], w[..., 1, :]
+        a = lo.copy()
+        lo += hi
+        np.subtract(a, hi, out=hi)
         h *= 2
     return v
 
@@ -652,7 +659,7 @@ def loop_pauli_expectations(amps: np.ndarray, n: int) -> np.ndarray:
     idx = np.arange(d)
     popcount = np.array([v.bit_count() for v in range(d)])
     for a in range(d):
-        vals = (1j ** (popcount[a & idx] % 4)) * loop_fwht(np.conj(amps[idx ^ a]) * amps)
+        vals = (1j ** (popcount[a & idx] % 4)) * radix2_fwht(np.conj(amps[idx ^ a]) * amps)
         assert np.max(np.abs(vals.imag)) <= 1e-7
         out[a, :] = vals.real
     return out
@@ -678,7 +685,21 @@ def test_fwht_transforms_the_last_axis_row_by_row():
     m = rng.normal(size=(3, 5, 16)) + 1j * rng.normal(size=(3, 5, 16))
     f = _fwht(m)
     for i, j in itertools.product(range(3), range(5)):
-        assert f[i, j].tobytes() == loop_fwht(m[i, j]).tobytes()
+        assert f[i, j].tobytes() == radix2_fwht(m[i, j]).tobytes()
+
+
+@pytest.mark.parametrize("levels", range(17))
+def test_fwht_equals_the_radix2_oracle_bit_for_bit(levels):
+    rng = np.random.default_rng(100 + levels)
+    size = 1 << levels
+    for shape in [(size,), (3, size), (2, 5, size), (64, size)]:
+        if np.prod(shape) > 1 << 17:
+            continue
+        real = rng.normal(size=shape)
+        for v in (real, real + 1j * rng.normal(size=shape)):
+            got = _fwht(v)
+            assert got.dtype == v.dtype and got.shape == v.shape
+            assert got.tobytes() == radix2_fwht(v).tobytes()
 
 
 @pytest.mark.parametrize("n", range(1, 9))
