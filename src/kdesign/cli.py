@@ -48,12 +48,15 @@ OUTPUT_DIR_ENV = "KDESIGN_OUTPUT_DIR"
 MANIFEST_SCHEMA_VERSION = 1
 ATTACK_SCHEMA_VERSION = 1
 LIST_HELP = "a value, a range '1..5' or a list '1,3,5'; one run per value"
-MAX_LIST_RUNS = 1000  # runs one command may start over its list-valued flags
+MAX_LIST_RUNS = 1000  # runs one command may start over its list-valued flags, times swept values
 EPSILON_T = 0.5  # distinguish's threshold, recorded by every run, thresholded or not
 
 # CSV headers, each written once: the artifacts and the --help epilogs use them
 FRAME_POTENTIAL_COLUMNS = "ensemble,n,k,samples,estimate,stderr,seed"
 DECAY_COLUMNS = "t,distance,stderr,floor,samples,seed"
+EXACT_DECAY_COLUMNS = (
+    "t,frame_potential,frobenius_gap,spectral_gap,choi_bound,limit_frobenius_gap,limit_spectral_gap"
+)
 TRIAL_COLUMNS = "trial,statistic"
 TWIRL_COLUMNS = "input,clifford_vs_haar,idempotence_error"
 VANDERMONDE_COLUMNS = "i,row_sum,bound,ratio"
@@ -139,16 +142,18 @@ def _parse_list(flag: str, text: str) -> range | list[int]:
 
 def _for_each(args: argparse.Namespace) -> int:
     """The one run path.  Run the body once per combination of the listed
-    values, in order, once their count (a range's read from its ends, so
-    nothing is listed) is at most MAX_LIST_RUNS and every run has passed the
-    checks; time, record and announce each run.  Each run re-seeds from
-    --seed, so it writes the bytes of its value alone."""
+    values, in order, once their count times the count of swept values (a
+    range's read from its ends, so nothing is listed) is at most
+    MAX_LIST_RUNS and every run has passed the checks; time, record and
+    announce each run.  Each run re-seeds from --seed, so it writes the bytes
+    of its value alone."""
     values = {flag: _parse_list(f"--{flag}", getattr(args, flag)) for flag in args.lists}
     if args.sweep:  # one sweep over its values per run
         setattr(args, args.sweep, _parse_list(f"--{args.sweep}", getattr(args, args.sweep)))
-    count = math.prod(v.stop - v.start if isinstance(v, range) else len(v) for v in values.values())
+    sizes = [*values.values(), *([getattr(args, args.sweep)] if args.sweep else [])]
+    count = math.prod(v.stop - v.start if isinstance(v, range) else len(v) for v in sizes)
     if count > MAX_LIST_RUNS:
-        raise ValidationError(f"the lists make {count} runs, more than {MAX_LIST_RUNS}")
+        raise ValidationError(f"the lists and sweep make {count} runs, more than {MAX_LIST_RUNS}")
     runs = [
         argparse.Namespace(**{**vars(args), **dict(zip(values, combo))})
         for combo in itertools.product(*values.values())
@@ -204,17 +209,30 @@ def _frame_potential(args: argparse.Namespace):
 def _decay(args: argparse.Namespace):
     rng = np.random.default_rng(args.seed)
     report = decay_experiment(args.n, args.k, args.t, args.samples, rng)
-    ts = [r.t for r in report.rows]
-    rows = [(r.t, r.distance, r.stderr, r.floor, r.samples, args.seed) for r in report.rows]
-    slope = fitted_log2_slope(report)
-    slope_text = "n/a" if slope is None else f"{slope:.3f}"
+    ts, rows = [r.t for r in report.rows], [dataclasses.astuple(r) for r in report.rows]
+    if report.route == "exact":
+        columns, drawn = EXACT_DECAY_COLUMNS, 0
+        ratios = [
+            (b.spectral_gap / a.spectral_gap) ** (1 / (b.t - a.t))
+            for a, b in zip(report.rows, report.rows[1:])
+            if a.spectral_gap
+        ]
+        worst = max(ratios, default=math.nan)
+        verdict = f"exact, max spectral gap ratio per seed qubit {worst:.3f}"
+    else:
+        columns, drawn = DECAY_COLUMNS, sum(r.samples for r in report.rows)
+        rows = [(*row, args.seed) for row in rows]
+        slope = fitted_log2_slope(report)
+        verdict = (
+            f"monotone={monotone_above_floor(report)} envelope={envelope_satisfied(report)} "
+            f"log2_slope={'n/a' if slope is None else f'{slope:.3f}'}"
+        )
+    spec = {"n": args.n, "k": args.k, "t": ts, "samples": args.samples}
     return (
         f"decay_n{args.n}_k{args.k}_seed{args.seed}",
-        {"n": args.n, "k": args.k, "t": ts, "samples": args.samples},
-        {".csv": _csv(DECAY_COLUMNS, rows)},
-        f"n={args.n} k={args.k} t={ts[0]}..{ts[-1]}, "
-        f"monotone={monotone_above_floor(report)} "
-        f"envelope={envelope_satisfied(report)} log2_slope={slope_text}",
+        spec | {"route": report.route, "samples_drawn": drawn},
+        {".csv": _csv(columns, rows)},
+        f"n={args.n} k={args.k} t={ts[0]}..{ts[-1]}, {verdict}",
     )
 
 
@@ -350,11 +368,15 @@ def build_parser() -> argparse.ArgumentParser:
         "decay",
         _decay,
         "Choi-distance decay of the sandwiched ensemble versus t",
-        f"CSV columns: {DECAY_COLUMNS}.",
+        "CSV columns at k = 1, Monte Carlo rows:\n"
+        f"  {DECAY_COLUMNS}.\n"
+        "At k >= 2, exact rows that draw no samples:\n"
+        f"  {EXACT_DECAY_COLUMNS}.",
         lists=("k",),
         sweep="t",
-        check=lambda a: check_decay_args(a.n, a.k, a.t),
+        check=lambda a: check_decay_args(a.n, a.k, a.t, a.samples),
     )
+    p.formatter_class = argparse.RawDescriptionHelpFormatter  # keeps each header on one line
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", required=True, help=LIST_HELP)
     p.add_argument("--t", required=True, help="range '1..5' or list '1,3,5'")

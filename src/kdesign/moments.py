@@ -31,19 +31,34 @@ two routes:
   built.  Its value and bootstrap draws take eigenvalues of K on r x r
   blocks, r <= S < D, and its split-half floor those of L^dag W L.  No
   D x D array outlives the draw.
-- D x D, through trace_distance: rows with S >= D, references other than
-  c I (k >= 2), and the two-sided estimates.  They keep dense batch Choi
-  states, whose means and differences are formed in two reused buffers,
-  in the order sum() adds them.
+- D x D, through trace_distance: k = 1 rows with S >= D, whose reference
+  1 / D is subtracted on the diagonal, and the two-sided estimates.  They
+  keep dense batch Choi states, whose means and differences are formed in
+  two reused buffers, in the order sum() adds them.
+
+A decay row at k >= 2 is exact and draws nothing.  Over the monomials,
+with G_m = gram_matrix(k, m) (all ones at m = 0), W = G_n^+ and P the
+monomials that are permutations, a Haar seed on t qubits has the block
+S_t[A, B] = E tr(A_t^dag U^(x)k B_t U^dag(x)k) / 2^(tk) = G_t[:, P]
+Lambda_t^+ G_t[P, :] with Lambda_t = G_t[P, P]; the sandwich has
+R_t = S_t o G_(n-t) (entrywise) and Haar R_H = S_n.  With Delta = R_t - R_H
+a row holds tr(W R_t W R_t), the Frobenius gap tr((W Delta)^2), the
+spectral gap max |eig(W Delta)|, the 2 -> 2 norm of the difference of the
+moment operators, the Choi bound sqrt(Frobenius gap) / 2 on the Choi
+trace distance ||J_E - J_H||_1 / 2 at the same k, and the n -> infinity
+limits of both gaps, sum w^2 and max |w| over w = diag S_t outside P.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .commutant import _permutation_ones, _site_stack, _stable_inverse, check_table_args
+from .commutant import gram_matrix, weingarten_table
 from .ensembles import (
     EnsembleSpec,
     Haar,
@@ -52,7 +67,6 @@ from .ensembles import (
     _choi_dims,
     _choi_vectors,
     adaptive_output_state,
-    exact_moment_choi,
     moment_choi,
 )
 from .errors import InternalConsistencyError, ValidationError
@@ -93,10 +107,25 @@ class DecayRow:
 
 
 @dataclass(frozen=True)
+class ExactDecayRow:
+    t: int
+    frame_potential: float
+    frobenius_gap: float
+    spectral_gap: float
+    choi_bound: float
+    limit_frobenius_gap: float
+    limit_spectral_gap: float
+
+
+@dataclass(frozen=True)
 class DecayReport:
+    """route: "gram" or "dense" for the Monte Carlo rows of k = 1 (the trace
+    norm's r x r or D x D route), "exact" for the ExactDecayRows of k >= 2."""
+
     n: int
     k: int
-    rows: tuple[DecayRow, ...]
+    route: str
+    rows: tuple[DecayRow, ...] | tuple[ExactDecayRow, ...]
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray | None = None) -> float:
@@ -207,10 +236,11 @@ def _distance_from_gram(
 def _distance_from_batches(
     batches_a: list[np.ndarray],
     batches_b: list[np.ndarray] | None,
-    exact_ref: np.ndarray | None,
+    c: float | None,
     rng: np.random.Generator,
 ) -> tuple[float, float, float]:
-    """(value, bootstrap stderr, split-half null floor) on the D x D route.
+    """(value, bootstrap stderr, split-half null floor) on the D x D route,
+    against the mean of batches_b, or against c I when batches_b is None.
 
     The half-vs-half distance runs at twice the variance of the full mean,
     so the one-sided noise level is half of it; two noisy sides combine in
@@ -222,7 +252,10 @@ def _distance_from_batches(
 
     def distance(ia, ib) -> float:
         diff = _mean_into(buf, batches_a, ia)
-        diff -= exact_ref if batches_b is None else _mean_into(other, batches_b, ib)
+        if batches_b is None:
+            diff.flat[:: len(diff) + 1] -= c
+        else:
+            diff -= _mean_into(other, batches_b, ib)
         return trace_distance(diff)
 
     def split_half(batches) -> float:
@@ -278,14 +311,55 @@ def adaptive_distance(
     return DistanceEstimate(value, stderr, floor, used)
 
 
-def check_decay_args(n: int, k: int, t_list) -> None:
-    """ValidationError unless decay_experiment accepts (n, k, t_list); a
-    range past n fails at its ends, before any of its values is listed."""
+def check_decay_args(n: int, k: int, t_list, samples: int) -> None:
+    """ValidationError unless decay_experiment accepts (n, k, t_list,
+    samples); a range past n fails at its ends, before any of its values is
+    listed.  A k = 1 row needs its dense Choi register and NUM_BATCHES
+    samples, a k >= 2 row the k-copy tables and no samples."""
     if not t_list:
         raise ValidationError("need at least one t")
     if not all(1 <= t <= n for ts in ((*t_list[:1], *t_list[-1:]), t_list) for t in ts):
         raise ValidationError("every t must satisfy 1 <= t <= n")
-    _choi_dims(Haar(n), k)
+    if k == 1:
+        _choi_dims(Haar(n), k)
+        _batch_split(samples)
+    else:
+        check_table_args(k, n)
+
+
+def _permutation_rows(k: int) -> list[int]:
+    """The monomials that are permutation operators T_pi, one per pi in S_k."""
+    row = {tuple(ones.tolist()): i for i, ones in enumerate(_site_stack(k)[1])}
+    perms = itertools.permutations(range(k))
+    return [row[tuple(np.sort(_permutation_ones(pi, 2)).tolist())] for pi in perms]
+
+
+def _haar_seed(k: int, t: int) -> np.ndarray:
+    """S_t = G_t[:, P] Lambda_t^+ G_t[P, :], the block of a Haar seed on t
+    qubits (module docstring); Lambda_t is singular where 2^t < k."""
+    g, p = gram_matrix(k, t), _permutation_rows(k)
+    inverse, *_ = _stable_inverse(g[np.ix_(p, p)])
+    return g[:, p] @ inverse @ g[p, :]
+
+
+def _sandwich_row(n: int, k: int, t: int, seed: np.ndarray) -> ExactDecayRow:
+    """The exact row of C1 (U_t x I) C2 against Haar on n qubits, for a seed
+    on t qubits whose block is `seed` (_haar_seed for a Haar seed)."""
+    w = weingarten_table(k, n).weingarten
+    r = seed * (gram_matrix(k, n - t) if n > t else 1.0)  # G_0 is all ones
+    wr = w @ r
+    ev = np.abs(np.linalg.eigvals(w @ (r - _haar_seed(k, n))))
+    frobenius = float(np.sum(ev**2))  # tr((W Delta)^2): the eigenvalues are real
+    off = np.delete(np.diag(seed), _permutation_rows(k))
+    return ExactDecayRow(
+        t,
+        float(np.sum(wr * wr.T)),
+        frobenius,
+        float(ev.max()),
+        0.5 * math.sqrt(frobenius),
+        float(np.sum(off**2)),
+        float(np.abs(off).max(initial=0.0)),  # no monomial outside P at k <= 3
+    )
 
 
 def decay_experiment(
@@ -297,24 +371,29 @@ def decay_experiment(
 ) -> DecayReport:
     """Distance of E_t = {C1 (U_t x I) C2} from Haar, for each t.
 
-    The Haar reference is the closed-form Choi state; choi_trace_distance
-    is the two-sided Monte Carlo path.
+    At k >= 2 every row is exact and draws nothing.  At k = 1 the Haar
+    reference is exactly I / D, and each row is a Monte Carlo estimate of
+    S samples on the r x r route when S < D, else on the D x D route;
+    choi_trace_distance is the two-sided Monte Carlo path.
     """
-    check_decay_args(n, k, t_list)
+    check_decay_args(n, k, t_list, samples)
     ts = sorted(set(t_list))
-    dim = 4 ** (n * k)  # the Choi dimension d^2k
+    if k > 1:
+        rows = tuple(_sandwich_row(n, k, t, _haar_seed(k, t)) for t in ts)
+        return DecayReport(n, k, "exact", rows)
+    dim = 4**n  # the Choi dimension d^2k
     _, used = _batch_split(samples)
-    # at k = 1 the reference is exactly I / dim: a Gram-route row needs only 1 / dim
-    ref = None if k == 1 and used < dim else exact_moment_choi(Haar(n), k)
+    route = "gram" if used < dim else "dense"
     rows = []
     for t in ts:
         spec = Homeopathy(n, t, Haar(t))
-        if ref is None:
+        if route == "gram":
             est = _distance_from_gram(_batched_gram(spec, k, samples, rng), 1 / dim, dim, rng)
         else:
-            est = _distance_from_batches(_batched_choi(spec, k, samples, rng)[0], None, ref, rng)
+            batches = _batched_choi(spec, k, samples, rng)[0]
+            est = _distance_from_batches(batches, None, 1 / dim, rng)
         rows.append(DecayRow(t, *est, used))
-    return DecayReport(n, k, tuple(rows))
+    return DecayReport(n, k, route, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Each test owns its tolerance and its frozen seed; `pytest -v` gives one
 pass/fail line per guarantee. The three entries marked `slow` are the
-moment-decay experiment (~2 min), the k=4 frame-potential separation and
+k = 1 moment-decay experiment (~2 min), the k=4 frame-potential separation and
 the enumerated group average (~1 min each); `pytest -m "not slow"` skips
 them.
 """
@@ -10,6 +10,7 @@ them.
 from __future__ import annotations
 
 import itertools
+import math
 from math import factorial
 
 import numpy as np
@@ -23,9 +24,11 @@ from kdesign.attack import (
     make_compressible,
 )
 from kdesign.commutant import (
+    _clifford_ones,
     alpha,
     clifford_twirl,
     enumerate_monomials,
+    gram_matrix,
     haar_twirl,
     monomial_count,
     monomial_site_matrix,
@@ -47,14 +50,18 @@ from kdesign.ensembles import (
     CliffordUniform,
     Haar,
     enumerate_unitaries,
+    exact_moment_choi,
     frame_potential,
 )
 from kdesign.f2 import symplectic_product
 from kdesign.moments import (
+    _haar_seed,
+    _sandwich_row,
     decay_experiment,
     envelope_satisfied,
     fitted_log2_slope,
     monotone_above_floor,
+    trace_distance,
 )
 from kdesign.pauli import clifford_to_matrix, stabilizer_group_of
 
@@ -134,7 +141,8 @@ def test_04_moment_distance_decay_stays_under_envelope():
     uniform Clifford group already is one (ROADMAP, finding (a)), so every
     row is noise around its split-half floor.  This test therefore checks
     the estimator and floor machinery at 20,000 samples; it cannot fail on a
-    false decay claim.
+    false decay claim.  The check that can is test_12, on the exact rows of
+    k >= 2.
     """
     rng = np.random.default_rng(20260501)
     report = decay_experiment(5, 1, [1, 2, 3, 4, 5], 20000, rng)
@@ -275,3 +283,85 @@ def test_11_frame_potentials_split_at_k_4():
     gap = cliff4 - haar4
     sigma = float(np.hypot(haar_err, cliff_err))
     assert gap > 3 * sigma, f"k=4 gap {gap:.3f} vs 3 sigma = {3 * sigma:.3f}"
+
+
+def _longest_increasing(perm) -> int:
+    ends = []  # ends[i]: the least last entry of an increasing run of length i + 1
+    for x in perm:
+        i = np.searchsorted(ends, x)
+        ends[i : i + 1] = [x]
+    return len(ends)
+
+
+def test_12_exact_sandwich_gaps_decay_in_t_and_not_in_n():
+    """The claim at k = 4 and 5: C1 (U_t x I) C2 with a Haar seed U_t on t
+    qubits has a gap to Haar that decays in t and does not depend on n.
+
+    Decay: the claim says exponentially in t, and halving per seed qubit is
+    its weakest rate.  n: with K monomials and e_m = K 2^-m, the tables'
+    off-diagonal entries are 2^(-m alpha) with alpha >= 1, so
+    ||G_m - I||_F <= e_m, and a Haar seed's block has |S_t[A, B]| <= 1
+    (Cauchy-Schwarz; the Haar twirl is a projection).  So the sandwich's
+    R_t is diag S_t within e_(n-t), Haar's S_n is the indicator of P within
+    3.1 e_n, and W = G_n^-1 is I within 1.02 e_n, while e_n <= 0.01 and
+    e_(n-t) <= 0.02.  Then the symmetric W^1/2 Delta W^1/2, whose norms the
+    gaps are, lies within e_(n-t) + e_n (5 + 3 sqrt(limit Frobenius gap))
+    of its limit diag(w) in the Frobenius norm, and so in the spectral one.
+    """
+    rng = np.random.default_rng(12)
+    for k in (4, 5):
+        count = monomial_count(k)
+        limits = set()
+        for n in (20, 50):
+            rows = decay_experiment(n, k, list(range(1, 7)), 10, rng).rows
+            for a, b in zip(rows, rows[1:]):
+                assert b.spectral_gap <= a.spectral_gap / 2, (k, n, b.t, b.spectral_gap)
+                assert b.frobenius_gap <= a.frobenius_gap / 2, (k, n, b.t, b.frobenius_gap)
+            for r in rows:
+                e_nt, e_n = count * 2.0 ** (r.t - n), count * 2.0**-n
+                assert e_n <= 0.01 and e_nt <= 0.02
+                bound = e_nt + e_n * (5 + 3 * math.sqrt(r.limit_frobenius_gap))
+                off = abs(r.spectral_gap - r.limit_spectral_gap)
+                assert off <= bound, (k, n, r.t, off, bound)
+                off = abs(math.sqrt(r.frobenius_gap) - math.sqrt(r.limit_frobenius_gap))
+                assert off <= bound, (k, n, r.t, off, bound)
+            limits.add(tuple((r.limit_frobenius_gap, r.limit_spectral_gap) for r in rows))
+        assert len(limits) == 1  # the limit columns do not depend on n
+    assert rng.bit_generator.state == np.random.default_rng(12).bit_generator.state  # no draw
+
+    # Haar (t = n): F = dim span{T_pi} = #{pi in S_k : longest increasing run <= 2^n}
+    for k in (4, 5):
+        for n in (1, 2, 3):
+            haar = decay_experiment(n, k, [n], 10, rng).rows[0]
+            perms = itertools.permutations(range(k))
+            want = sum(_longest_increasing(p) <= 2**n for p in perms)
+            assert haar.frame_potential == pytest.approx(want, rel=1e-9), (k, n)
+            assert haar.frobenius_gap == haar.spectral_gap == 0.0
+
+    # a uniform-Clifford seed (block G_t) makes the sandwich the Clifford group:
+    # a gap of 30 monomials less 24 permutations at n = 20, and at n = 2 the
+    # frame potential E|tr U|^8 of the enumerated group
+    assert _sandwich_row(20, 4, 2, gram_matrix(4, 2)).frobenius_gap == pytest.approx(
+        monomial_count(4) - factorial(4), rel=1e-9
+    )
+    group = np.stack([u.matrix for u in enumerate_unitaries(CliffordEnumerated(2))])
+    enumerated = float(np.mean(np.abs(np.trace(group, axis1=1, axis2=2)) ** 8))
+    got = _sandwich_row(2, 4, 1, gram_matrix(4, 1)).frame_potential
+    assert got == pytest.approx(enumerated, rel=1e-9)
+
+    # the Haar seed's block against dense twirls of the monomials on t qubits
+    for t in (1, 2):
+        ones = _clifford_ones(4, t)
+        dim = ones.shape[1]
+        mats = np.zeros((len(ones), dim * dim))
+        np.put_along_axis(mats, ones, 1.0, axis=1)
+        twirled = np.stack([haar_twirl(m.reshape(dim, dim), 4, 2**t).matrix.ravel() for m in mats])
+        dense = (mats @ twirled.T) / dim  # tr(A^dag Phi(B)) / 2^(tk), A real
+        np.testing.assert_allclose(_haar_seed(4, t), dense, rtol=0, atol=1e-12)
+
+    # the Choi bound against the dense Choi trace distance, Clifford against Haar
+    for k in (4, 5):
+        clifford, haar = (exact_moment_choi(spec, k) for spec in (CliffordUniform(1), Haar(1)))
+        dense = trace_distance(clifford, haar)
+        bound = _sandwich_row(1, k, 1, gram_matrix(k, 1)).choi_bound
+        assert bound >= dense, (k, bound, dense)

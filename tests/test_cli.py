@@ -103,6 +103,22 @@ def test_decay_records_the_t_values_of_its_rows(tmp_path, capsys):
     assert [row.split(",")[0] for row in rows] == ["1", "2"]
     doc = json.loads((tmp_path / "decay_n2_k1_seed1.manifest.json").read_text())
     assert doc["spec"]["t"] == [1, 2]
+    # S = 10 < D = 16 samples per row: the r x r route, 10 draws for each of two rows
+    assert (doc["spec"]["route"], doc["spec"]["samples_drawn"]) == ("gram", 20)
+
+
+def test_decay_at_k2_is_exact_and_quick(tmp_path, capsys):
+    # the Clifford group is a 3-design, so every k = 2 sandwich is exactly Haar
+    argv = ["decay", "--n", "3", "--k", "2", "--t", "1..3", "--samples", "200", "--seed", "7"]
+    assert run(argv + ["--out", str(tmp_path)]) == 0
+    assert ", exact," in capsys.readouterr().out
+    header, *rows = (tmp_path / "decay_n3_k2_seed7.csv").read_text().splitlines()
+    assert header == cli.EXACT_DECAY_COLUMNS
+    assert [row.split(",")[0] for row in rows] == ["1", "2", "3"]
+    for row in rows:
+        _, _, frobenius, spectral, bound, *limits = map(float, row.split(","))
+        assert frobenius < 1e-25 and spectral < 1e-12 and bound < 1e-12
+        assert limits == [0.0, 0.0]  # every k = 2 monomial is a permutation
 
 
 def test_distinguish_outputs_and_determinism(tmp_path, capsys):
@@ -247,6 +263,11 @@ HUGE, HUGER = str(10**11), str(10**30)
         DECAY + ["--k", "1", "--t", f"1..{HUGE}"],
         DECAY + ["--k", "1", "--t", f"1..{HUGER}"],
         DECAY + ["--k", f"1..{HUGE}", "--t", "1"],
+        # every value valid for the exact k = 4 rows, but 10^11 rows in one sweep
+        pytest.param(
+            ["decay", "--n", HUGE, "--k", "4", "--t", f"1..{HUGE}"] + DECAY[3:],
+            id="decay-n1e11-k4",
+        ),
         ["commutant", "--k", f"2..{HUGE}", "--n", "1"],
         ["commutant", "--k", "2", f"--n=-{HUGE}..2"],
         ["commutant", "--k", "2", "--n", f"1..{HUGE}"],
@@ -452,7 +473,9 @@ def test_negative_seed_exits_2_before_writing(tmp_path, capsys, argv):
 BAD_LATER_VALUE = {
     "commutant-k": ["commutant", "--k", "2,9", "--n", "1"],
     "commutant-n": ["commutant", "--k", "2,3", "--n", "1,0"],
-    "decay-k": ["decay", "--n", "5", "--k", "1,2", "--t", "1", "--samples", "20", "--seed", "1"],
+    "decay-k": ["decay", "--n", "5", "--k", "1,6", "--t", "1", "--samples", "20", "--seed", "1"],
+    # the exact k = 2 rows read no samples; the k = 1 rows need ten
+    "decay-samples": ["decay", "--n", "2", "--k", "2,1", "--t", "1", "--samples", "9", "--seed", "1"],
     "distinguish-t": ["distinguish", "--n", "3", "--t", "0,4", "--trials", "2", "--seed", "1"],
     # past the one 4^n Pauli-table bound
     "distinguish-n9": ["distinguish", "--n", "9", "--t", "0,1", "--trials", "2", "--seed", "1"],
@@ -517,15 +540,18 @@ def test_bad_input_exits_2_and_writes_nothing(tmp_path, capsys, name):
     assert not (tmp_path / "D").exists()
 
 
-# one small run of every subcommand; commutant and distinguish run two list values
+# one small run of every subcommand; those not in ONE_RUN run two list values
 EVERY_SUBCOMMAND = {
     "commutant": ["commutant", "--k", "2", "--n", "1,2"],
     "frame-potential": FP + ["haar", "--n", "1"],
-    "decay": DECAY + ["--k", "1", "--t", "1..2"],
+    "decay": DECAY + ["--k", "1,4", "--t", "1..2"],
     "distinguish": ["distinguish", "--n", "2", "--t", "0,1", "--trials", "3", "--seed", "1"],
     "twirl-check": ["twirl-check", "--n", "1", "--k", "2", "--inputs", "2", "--seed", "1"],
     "vandermonde": ["vandermonde", "--k", "3"],
 }
+
+
+ONE_RUN = ("frame-potential", "twirl-check", "vandermonde")
 
 
 @pytest.mark.parametrize("name", sorted(EVERY_SUBCOMMAND))
@@ -546,9 +572,13 @@ def test_manifests_list_exactly_the_files_written(tmp_path, capsys, name):
         last.add(str(tmp_path / doc["artifacts"][-1]))
     assert listed == written - manifests
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == len(manifests) >= (2 if name in ("commutant", "distinguish") else 1)
+    assert len(lines) == len(manifests) >= (1 if name in ONE_RUN else 2)
     assert all(re.fullmatch(rf"{name}: .+ -> .+", line) for line in lines)
     assert {line.rsplit(" -> ", 1)[1] for line in lines} == last
+    if name == "decay":  # S = 20 >= D = 16 at k = 1: the D x D route, 20 draws per row
+        specs = [json.loads((tmp_path / m).read_text())["spec"] for m in manifests]
+        routes = {spec["k"]: (spec["route"], spec["samples_drawn"]) for spec in specs}
+        assert routes == {1: ("dense", 40), 4: ("exact", 0)}
 
 
 @pytest.mark.parametrize("name", sorted(set(EVERY_SUBCOMMAND) - {"commutant"}))
@@ -602,9 +632,10 @@ def _argv(draw):
         argv += draw(_optional("--t", _ints([1, 2], (0, -1, 4))))
         return argv + ["--samples", draw(_ints([2, 40], (1, 0, -1)))] + seed
     if name == "decay":
-        n = draw(_mostly(st.sampled_from([1, 2, 3]), st.sampled_from([0, -1, 13])))
-        kmax = 3 // n if 1 <= n <= 3 else 3  # n * k <= 3 whenever the Choi size is accepted
-        argv = [name, "--n", str(n), "--k", draw(_lists(list(range(1, kmax + 1)), (0, -1, 7)))]
+        # k = 1 rows are Monte Carlo on a dense Choi register of 4^n, which
+        # rejects n = 13; k >= 2 rows are exact at any n
+        n = draw(_mostly(st.sampled_from([1, 2, 3, 50]), st.sampled_from([0, -1, 13])))
+        argv = [name, "--n", str(n), "--k", draw(_lists([1, 2, 3, 4, 5], (0, -1, 6)))]
         argv += ["--t", draw(_lists([1, 2, 3], (0, -1, 4)))]
         return argv + ["--samples", draw(_ints([10, 40], (9, 0, -1)))] + seed
     if name == "distinguish":

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from kdesign import cli, moments
+from kdesign import cli, ensembles, moments
 from kdesign.dense import DenseOperator, haar_unitary
 from kdesign.ensembles import (
     CliffordEnumerated,
@@ -88,6 +88,9 @@ def test_decay_experiment_validation():
         decay_experiment(2, 1, [3], 500, rng)
     with pytest.raises(ValidationError):
         decay_experiment(2, 1, [1], 5, rng)
+    for k in (0, 6):  # the exact rows of k >= 2 need the k-copy tables
+        with pytest.raises(ValidationError, match="tables support"):
+            decay_experiment(2, k, [1], 500, rng)
 
 
 BATCH_SPLIT_CALLS = {
@@ -126,7 +129,7 @@ def synthetic_report(distances, floors, errs):
         DecayRow(t + 1, d, e, f, 1000)
         for t, (d, f, e) in enumerate(zip(distances, floors, errs))
     )
-    return DecayReport(5, 1, rows)
+    return DecayReport(5, 1, "gram", rows)
 
 
 def test_decay_analysis_helpers():
@@ -233,22 +236,18 @@ def test_haar_choi_at_k1_is_exactly_identity_over_d(n):
     assert got.tobytes() == (np.eye(4**n, dtype=complex) / 4**n).tobytes()
 
 
-def test_decay_builds_the_dense_reference_only_for_dense_rows(monkeypatch):
-    def never(spec, k):
-        raise AssertionError("a Gram-route row built the dense Haar reference")
+def test_decay_never_calls_exact_moment_choi(monkeypatch):
+    def never(*args):
+        raise AssertionError("decay built a dense Haar reference")
 
-    monkeypatch.setattr(moments, "exact_moment_choi", never)
-    decay_experiment(2, 1, [1, 2], 10, np.random.default_rng(5))  # S = 10 < D = 16
-    calls = []
-
-    def counted(spec, k):
-        calls.append((spec, k))
-        return exact_moment_choi(spec, k)
-
-    monkeypatch.setattr(moments, "exact_moment_choi", counted)
-    decay_experiment(2, 1, [1, 2], 20, np.random.default_rng(5))  # S = 20 >= D = 16
-    decay_experiment(1, 2, [1], 10, np.random.default_rng(5))  # k = 2: every row is D x D
-    assert calls == [(Haar(2), 1), (Haar(1), 2)]
+    monkeypatch.setattr(ensembles, "exact_moment_choi", never)
+    monkeypatch.setattr(ensembles, "_commutant_choi", never)
+    assert not hasattr(moments, "exact_moment_choi")
+    routes = [
+        decay_experiment(n, k, [1, 2], samples, np.random.default_rng(5)).route
+        for n, k, samples in [(2, 1, 10), (2, 1, 20), (2, 2, 10), (20, 4, 10)]
+    ]
+    assert routes == ["gram", "dense", "exact", "exact"]  # S < D = 16, S >= D, then k >= 2
 
 
 def dense_decay_reference(n, k, t_list, samples, rng):
@@ -279,8 +278,6 @@ def dense_decay_reference(n, k, t_list, samples, rng):
         (3, 1, 50),  # S < D = 64: r x r route
         (3, 1, 200),  # per = 20 < D <= S: dense batches
         (3, 1, 700),  # per = 70 >= D: dense batches
-        (1, 2, 10),  # non-scalar Haar reference at k = 2, D = 16
-        (2, 2, 100),  # non-scalar reference, S < D = 256
     ],
 )
 def test_decay_rows_match_the_dense_evaluation(monkeypatch, n, k, samples):
@@ -304,6 +301,20 @@ def test_decay_rows_match_the_dense_evaluation(monkeypatch, n, k, samples):
     else:
         assert got == expected
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_exact_k2_rows_agree_with_the_monte_carlo_oracle():
+    # the Clifford group is a 3-design, so every k = 2 sandwich is Haar: the
+    # exact rows are 0, and the dense Monte Carlo distance to the exact Haar
+    # Choi state must not clear its split-half floor by 3 sigma
+    report = decay_experiment(2, 2, [1, 2], 200, np.random.default_rng(113))
+    assert report.route == "exact"
+    for row in report.rows:
+        assert row.frobenius_gap < 1e-25 and row.spectral_gap < 1e-12
+    for t, value, stderr, floor, _ in dense_decay_reference(
+        2, 2, [1, 2], 200, np.random.default_rng(113)
+    ):
+        assert not moments._above_floor(value, stderr, floor), (t, value, stderr, floor)
 
 
 def dense_split_half_floor(vs, per):
