@@ -41,8 +41,7 @@ from .commutant import (
 )
 from .ensembles import CliffordUniform, Haar, Homeopathy, frame_potential, to_config
 from .errors import InternalConsistencyError, ValidationError
-from .moments import check_decay_args, decay_experiment, envelope_satisfied, fitted_log2_slope
-from .moments import monotone_above_floor
+from .moments import check_decay_args, decay_experiment
 
 OUTPUT_DIR_ENV = "KDESIGN_OUTPUT_DIR"
 MANIFEST_SCHEMA_VERSION = 1
@@ -161,8 +160,9 @@ def _for_each(args: argparse.Namespace) -> int:
     for run in runs:
         if run.check:
             run.check(run)
-    if getattr(args, "seed", 0) < 0:
-        raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
+    seed = getattr(args, "seed", None)  # None without the flag, or an exact decay without it
+    if seed is not None and seed < 0:
+        raise ValidationError(f"--seed must be nonnegative, got {seed}")
     for run in runs:
         started = time.monotonic()
         stem, spec, artifacts, summary = run.body(run)
@@ -222,18 +222,25 @@ def _decay(args: argparse.Namespace):
     else:
         columns, drawn = DECAY_COLUMNS, sum(r.samples for r in report.rows)
         rows = [(*row, args.seed) for row in rows]
-        slope = fitted_log2_slope(report)
-        verdict = (
-            f"monotone={monotone_above_floor(report)} envelope={envelope_satisfied(report)} "
-            f"log2_slope={'n/a' if slope is None else f'{slope:.3f}'}"
-        )
+        # an exact 1-design puts every row at its floor
+        above = sum(r.above_floor for r in report.rows)
+        verdict = f"{above} of {len(rows)} rows above floor"
     spec = {"n": args.n, "k": args.k, "t": ts, "samples": args.samples}
+    seed = "" if args.seed is None else f"_seed{args.seed}"
     return (
-        f"decay_n{args.n}_k{args.k}_seed{args.seed}",
+        f"decay_n{args.n}_k{args.k}{seed}",
         spec | {"route": report.route, "samples_drawn": drawn},
         {".csv": _csv(columns, rows)},
         f"n={args.n} k={args.k} t={ts[0]}..{ts[-1]}, {verdict}",
     )
+
+
+def _check_decay(args: argparse.Namespace) -> None:
+    """The Monte Carlo rows of k = 1 draw samples; the exact rows of k >= 2 read
+    neither --samples nor --seed."""
+    if args.k == 1 and (args.samples is None or args.seed is None):
+        raise ValidationError("decay at k = 1 draws samples: it needs --samples and --seed")
+    check_decay_args(args.n, args.k, args.t, args.samples)
 
 
 def _check_distinguish(args: argparse.Namespace) -> None:
@@ -368,20 +375,21 @@ def build_parser() -> argparse.ArgumentParser:
         "decay",
         _decay,
         "Choi-distance decay of the sandwiched ensemble versus t",
+        "--samples and --seed: k = 1 only.\n"
         "CSV columns at k = 1, Monte Carlo rows:\n"
         f"  {DECAY_COLUMNS}.\n"
         "At k >= 2, exact rows that draw no samples:\n"
         f"  {EXACT_DECAY_COLUMNS}.",
         lists=("k",),
         sweep="t",
-        check=lambda a: check_decay_args(a.n, a.k, a.t, a.samples),
+        check=_check_decay,
     )
     p.formatter_class = argparse.RawDescriptionHelpFormatter  # keeps each header on one line
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", required=True, help=LIST_HELP)
     p.add_argument("--t", required=True, help="range '1..5' or list '1,3,5'")
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--samples", type=int, help="k = 1 only")
+    p.add_argument("--seed", type=int, help="k = 1 only")
 
     p = add(
         "distinguish",

@@ -73,7 +73,6 @@ from .errors import InternalConsistencyError, ValidationError
 
 NUM_BATCHES = 10
 BOOTSTRAP_DRAWS = 20
-ENVELOPE_CONSTANT = 47.0
 
 
 def _above_floor(value: float, stderr: float, floor: float) -> bool:
@@ -311,7 +310,7 @@ def adaptive_distance(
     return DistanceEstimate(value, stderr, floor, used)
 
 
-def check_decay_args(n: int, k: int, t_list, samples: int) -> None:
+def check_decay_args(n: int, k: int, t_list, samples: int | None) -> None:
     """ValidationError unless decay_experiment accepts (n, k, t_list,
     samples); a range past n fails at its ends, before any of its values is
     listed.  A k = 1 row needs its dense Choi register and NUM_BATCHES
@@ -395,41 +394,3 @@ def decay_experiment(
         rows.append(DecayRow(t, *est, used))
     return DecayReport(n, k, route, tuple(rows))
 
-
-# ---------------------------------------------------------------------------
-# decay analysis
-
-
-def above_floor_rows(report: DecayReport) -> list[DecayRow]:
-    return [r for r in report.rows if r.above_floor]
-
-
-def monotone_above_floor(report: DecayReport) -> bool:
-    """Distances non-increasing in t, within 3 sigma, over above-floor rows."""
-    rows = above_floor_rows(report)
-    for a, b in zip(rows, rows[1:]):
-        if b.distance > a.distance + 3 * math.hypot(a.stderr, b.stderr):
-            return False
-    return True
-
-
-def envelope_satisfied(report: DecayReport) -> bool:
-    """Every distance within the exponential bound C * 2^(2k - t) + 3 sigma."""
-    return all(
-        r.distance <= ENVELOPE_CONSTANT * 2.0 ** (2 * report.k - r.t) + 3 * r.stderr
-        for r in report.rows
-    )
-
-
-def fitted_log2_slope(report: DecayReport) -> float | None:
-    """Least-squares slope of log2(distance) vs t over above-floor rows.
-
-    None when fewer than two rows rise above the floor (degenerate designs:
-    an ensemble already exact at this k leaves nothing to fit).
-    """
-    rows = above_floor_rows(report)
-    if len(rows) < 2:
-        return None
-    ts = np.array([r.t for r in rows], dtype=float)
-    logs = np.log2([r.distance for r in rows])
-    return float(np.polyfit(ts, logs, 1)[0])

@@ -58,9 +58,6 @@ from kdesign.moments import (
     _haar_seed,
     _sandwich_row,
     decay_experiment,
-    envelope_satisfied,
-    fitted_log2_slope,
-    monotone_above_floor,
     trace_distance,
 )
 from kdesign.pauli import clifford_to_matrix, stabilizer_group_of
@@ -134,28 +131,20 @@ def test_03_clifford_is_exactly_a_3_design_and_not_a_4_design():
 
 @pytest.mark.slow
 def test_04_moment_distance_decay_stays_under_envelope():
-    """The decay experiment at n = 5, k = 1: rows monotone above their floors,
-    inside the envelope, and any fitted slope at most -0.8.
+    """The decay experiment at n = 5, k = 1: every row at its split-half floor.
 
-    At k = 1 every sandwich C1 (U_t x I) C2 is an exact design, since the
-    uniform Clifford group already is one (ROADMAP, finding (a)), so every
-    row is noise around its split-half floor.  This test therefore checks
-    the estimator and floor machinery at 20,000 samples; it cannot fail on a
-    false decay claim.  The check that can is test_12, on the exact rows of
-    k >= 2.
+    At k = 1 every sandwich C1 (U_t x I) C2 is an exact 1-design, since the
+    uniform Clifford group already is one (ROADMAP, finding (a)), so the
+    claim is that no row rises above its floor.  This checks the estimator
+    and floor machinery at 20,000 samples, and it fails when the sandwich is
+    not a 1-design: U_t x I alone reads about 1 - 4^(t - n) at t < n.  A row
+    at its floor also keeps any decay envelope, as every distance is at most
+    1.  The check of decay in t is test_12, on the exact rows of k >= 2.
     """
     rng = np.random.default_rng(20260501)
     report = decay_experiment(5, 1, [1, 2, 3, 4, 5], 20000, rng)
-    assert monotone_above_floor(report), [
-        (r.t, r.distance, r.floor) for r in report.rows
-    ]
-    assert envelope_satisfied(report), [
-        (r.t, r.distance, 47.0 * 2.0 ** (2 - r.t)) for r in report.rows
-    ]
-    slope = fitted_log2_slope(report)
-    # at k=1 the sandwiched ensemble is an exact design for every t, so all
-    # rows sit at the statistical floor and no pre-floor range exists
-    assert slope is None or slope <= -0.8, f"fitted slope {slope}"
+    for r in report.rows:
+        assert not r.above_floor, (r.t, r.distance, r.stderr, r.floor)
 
 
 def test_05_distinguisher_advantage_and_haar_null():

@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 import kdesign
 from kdesign import cli
-from kdesign.commutant import load_weingarten_table
+from kdesign.commutant import PauliMonomial, export_weingarten_table, weingarten_table
 from kdesign.errors import InternalConsistencyError
 
 
@@ -46,8 +46,18 @@ def test_vandermonde_artifacts(tmp_path, capsys):
 def test_commutant_archive_round_trip(tmp_path, capsys):
     assert run(["commutant", "--k", "2", "--n", "1", "--out", str(tmp_path)]) == 0
     assert "2 monomials" in capsys.readouterr().out
-    table = load_weingarten_table(str(tmp_path / "commutant_k2_n1.json"))
-    assert table.k == 2 and table.n == 1
+    text = (tmp_path / "commutant_k2_n1.json").read_text()
+    table = weingarten_table(2, 1)
+    assert text == export_weingarten_table(table)  # exporting twice is byte-identical
+    doc = json.loads(text)
+    assert (doc["k"], doc["n"]) == (2, 1)
+    for key in ("gram", "weingarten"):
+        assert doc[key] == [[v.hex() for v in row] for row in getattr(table, key).tolist()]
+    monomials = [
+        PauliMonomial(2, m["m"], tuple(m["v_cols"]), tuple(m["m_upper"])) for m in doc["monomials"]
+    ]
+    assert tuple(monomials) == table.monomials
+    assert doc["gram_min_singular"] == table.gram_min_singular.hex()
 
 
 @pytest.mark.parametrize(
@@ -119,6 +129,22 @@ def test_decay_at_k2_is_exact_and_quick(tmp_path, capsys):
         _, _, frobenius, spectral, bound, *limits = map(float, row.split(","))
         assert frobenius < 1e-25 and spectral < 1e-12 and bound < 1e-12
         assert limits == [0.0, 0.0]  # every k = 2 monomial is a permutation
+
+
+def test_exact_decay_needs_neither_samples_nor_seed(tmp_path, capsys):
+    exact = ["decay", "--n", "20", "--k", "4", "--t", "1..6"]
+    assert run(exact + ["--out", str(tmp_path)]) == 0
+    assert run(exact + ["--samples", "10", "--seed", "1", "--out", str(tmp_path)]) == 0
+    csv = (tmp_path / "decay_n20_k4.csv").read_bytes()
+    assert csv == (tmp_path / "decay_n20_k4_seed1.csv").read_bytes()
+    assert json.loads((tmp_path / "decay_n20_k4.manifest.json").read_text())["seed"] is None
+
+
+def test_decay_at_k1_counts_rows_above_floor(tmp_path, capsys):
+    # an exact 1-design at S = 200 >= D = 16: every row at its floor
+    argv = ["decay", "--n", "2", "--k", "1", "--t", "1..2", "--samples", "200", "--seed", "7"]
+    assert run(argv + ["--out", str(tmp_path)]) == 0
+    assert ", 0 of 2 rows above floor ->" in capsys.readouterr().out
 
 
 def test_distinguish_outputs_and_determinism(tmp_path, capsys):
@@ -209,7 +235,7 @@ def test_internal_error_exits_3(tmp_path, monkeypatch, capsys):
 
 def test_missing_seed_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
-        run(["decay", "--n", "2", "--k", "1", "--t", "1..2", "--samples", "100"])
+        run(["frame-potential", "--ensemble", "haar", "--n", "1", "--k", "1", "--samples", "10"])
     assert exc.value.code == 2
 
 
@@ -476,6 +502,8 @@ BAD_LATER_VALUE = {
     "decay-k": ["decay", "--n", "5", "--k", "1,6", "--t", "1", "--samples", "20", "--seed", "1"],
     # the exact k = 2 rows read no samples; the k = 1 rows need ten
     "decay-samples": ["decay", "--n", "2", "--k", "2,1", "--t", "1", "--samples", "9", "--seed", "1"],
+    # the k = 1 run needs --samples and --seed, the exact k = 4 run neither
+    "decay-flags": ["decay", "--n", "2", "--k", "4,1", "--t", "1"],
     "distinguish-t": ["distinguish", "--n", "3", "--t", "0,4", "--trials", "2", "--seed", "1"],
     # past the one 4^n Pauli-table bound
     "distinguish-n9": ["distinguish", "--n", "9", "--t", "0,1", "--trials", "2", "--seed", "1"],
@@ -521,6 +549,9 @@ BAD_BEFORE_DRAW = {
     ],
     "twirl-n20-k5": ["twirl-check", "--n", "20", "--k", "5", "--seed", "1"],
     "twirl-k5": ["twirl-check", "--n", "1", "--k", "5", "--inputs", "1", "--seed", "1"],
+    # the Monte Carlo rows of k = 1 need --samples and --seed
+    "decay-k1-no-samples": ["decay", "--n", "2", "--k", "1", "--t", "1", "--seed", "1"],
+    "decay-k1-no-seed": ["decay", "--n", "2", "--k", "1", "--t", "1", "--samples", "20"],
     "vandermonde-k0": ["vandermonde", "--k", "0"],
     "vandermonde-k17": ["vandermonde", "--k", "17"],
     # l samples per trial past the cap; numpy used to fail to allocate them
@@ -637,7 +668,9 @@ def _argv(draw):
         n = draw(_mostly(st.sampled_from([1, 2, 3, 50]), st.sampled_from([0, -1, 13])))
         argv = [name, "--n", str(n), "--k", draw(_lists([1, 2, 3, 4, 5], (0, -1, 6)))]
         argv += ["--t", draw(_lists([1, 2, 3], (0, -1, 4)))]
-        return argv + ["--samples", draw(_ints([10, 40], (9, 0, -1)))] + seed
+        # k = 1 needs --samples and --seed; the exact rows of k >= 2 read neither
+        argv += draw(_optional("--samples", _ints([10, 40], (9, 0, -1))))
+        return argv + draw(_mostly(st.just(seed), st.just([])))
     if name == "distinguish":
         argv = [name, "--n", draw(_ints([1, 2, 4], (0, -1, 7, 9)))]
         argv += ["--t", draw(_lists([0, 1, 4], (-1, 5))), "--trials", draw(_ints([1, 3]))]

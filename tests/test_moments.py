@@ -18,14 +18,9 @@ from kdesign.ensembles import (
 )
 from kdesign.errors import InternalConsistencyError, ValidationError
 from kdesign.moments import (
-    DecayReport,
-    DecayRow,
     adaptive_distance,
     choi_trace_distance,
     decay_experiment,
-    envelope_satisfied,
-    fitted_log2_slope,
-    monotone_above_floor,
     trace_distance,
 )
 from kdesign.moments import _batched_gram, _distance_from_gram, _gram_trace_norm
@@ -73,9 +68,6 @@ def test_decay_experiment_null_case():
     for r in report.rows:
         assert not r.above_floor
         assert r.floor > 0
-    assert monotone_above_floor(report)
-    assert envelope_satisfied(report)
-    assert fitted_log2_slope(report) is None
 
 
 def test_decay_experiment_validation():
@@ -122,37 +114,6 @@ def test_two_sided_estimates_need_one_register(name):
     with pytest.raises(ValidationError, match="specs act on 1 and 2 qubits"):
         TWO_SIDED_CALLS[name](rng)
     assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state  # no draw
-
-
-def synthetic_report(distances, floors, errs):
-    rows = tuple(
-        DecayRow(t + 1, d, e, f, 1000)
-        for t, (d, f, e) in enumerate(zip(distances, floors, errs))
-    )
-    return DecayReport(5, 1, "gram", rows)
-
-
-def test_decay_analysis_helpers():
-    # clean exponential decay: slope -1, monotone, inside the envelope
-    rep = synthetic_report(
-        [0.8, 0.4, 0.2, 0.1], [0.01] * 4, [0.001] * 4
-    )
-    assert monotone_above_floor(rep)
-    assert envelope_satisfied(rep)
-    assert fitted_log2_slope(rep) == pytest.approx(-1.0)
-
-    # a genuine rise above noise breaks monotonicity
-    bad = synthetic_report([0.2, 0.8], [0.01] * 2, [0.001] * 2)
-    assert not monotone_above_floor(bad)
-
-    # rows at the floor are exempt from the monotonicity claim
-    noisy = synthetic_report([0.02, 0.03], [0.05] * 2, [0.01] * 2)
-    assert monotone_above_floor(noisy)
-    assert fitted_log2_slope(noisy) is None
-
-    # envelope violation at t=1, k=1 needs distance above 47*2^(2-1)
-    huge = synthetic_report([95.0], [0.01], [0.001])
-    assert not envelope_satisfied(huge)
 
 
 def test_decay_csv_round_trip_and_determinism(tmp_path):
